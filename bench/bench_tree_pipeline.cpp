@@ -1,8 +1,9 @@
 // Once-per-pass tree pipeline benchmark: radix-sorted parallel build vs the
 // seed's comparator-based std::sort build, Morton target grouping with
-// precomputed keys vs the key-recomputing comparator, tree walks, and the
-// end-to-end Simulation::step with the StepContext cache (tree-build counter
-// reported alongside).
+// precomputed keys vs the key-recomputing comparator, tree walks, the SPH
+// neighbour search on plain vs h-aware gas groups (prefilter candidates per
+// interaction reported as counters), and the end-to-end Simulation::step
+// with the StepContext cache (tree-build counter reported alongside).
 //
 // Machine-readable output for the perf trajectory:
 //   bench_tree_pipeline --benchmark_format=json > BENCH_tree_pipeline.json
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/simulation.hpp"
+#include "fdps/context.hpp"
 #include "fdps/morton.hpp"
 #include "fdps/tree.hpp"
 #include "gravity/gravity.hpp"
@@ -210,6 +212,75 @@ void BM_GravityCachedContext(benchmark::State& state) {
       static_cast<double>(ctx.totalBuilds());  // 1 expected across all iterations
 }
 BENCHMARK(BM_GravityCachedContext)->Arg(30000)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// SPH neighbour search: plain Morton groups vs h-aware gas groups
+// ---------------------------------------------------------------------------
+
+/// Heterogeneous gas: half the particles in eight dense clumps (H ~ 0.5),
+/// half spread through a 100-unit box (H ~ 10) — the mix that makes plain
+/// Morton runs straddle supports 20x apart.
+std::vector<Particle> clumpyGas(int n, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  std::vector<Particle> parts(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    auto& p = parts[static_cast<std::size_t>(i)];
+    p.id = static_cast<std::uint64_t>(i) + 1;
+    p.type = Species::Gas;
+    p.mass = 1.0;
+    p.u = rng.uniform(0.5, 5.0);
+    p.u_pred = p.u;
+    p.vel = {rng.normal(), rng.normal(), rng.normal()};
+    if (i % 2 == 0) {
+      const int c = (i / 2) % 8;
+      const Vec3d centre{(c & 1) ? 25.0 : -25.0, (c & 2) ? 25.0 : -25.0,
+                         (c & 4) ? 25.0 : -25.0};
+      p.pos = centre + Vec3d{rng.normal(), rng.normal(), rng.normal()};
+      p.h = 0.5;
+    } else {
+      p.pos = {rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+               rng.uniform(-50.0, 50.0)};
+      p.h = 10.0;
+    }
+  }
+  return parts;
+}
+
+/// One density + hydro evaluation over plain Morton runs of 64 (range(1) ==
+/// 0, the grouping the SPH passes used before h-aware groups) or over the
+/// h-aware gas groups (range(1) == 1). Outputs are bitwise identical; the
+/// counters show how many prefilter candidates each kept neighbour costs.
+void BM_SphNeighbourSearch(benchmark::State& state) {
+  const auto initial = clumpyGas(static_cast<int>(state.range(0)), 5);
+  const bool h_aware = state.range(1) != 0;
+  asura::sph::SphParams sp;
+  std::vector<std::uint32_t> all(initial.size());
+  std::iota(all.begin(), all.end(), 0u);
+  asura::sph::DensityStats ds;
+  asura::sph::ForceStats fs;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto parts = initial;
+    asura::fdps::StepContext ctx;
+    const auto groups = h_aware ? asura::fdps::makeGasTargetGroups(parts, sp.group_size)
+                                : asura::fdps::makeTargetGroups(parts, all, sp.group_size);
+    state.ResumeTiming();
+    ds = asura::sph::solveDensity(ctx, parts, sp, groups);
+    fs = asura::sph::accumulateHydroForce(ctx, parts, sp, groups);
+    benchmark::DoNotOptimize(parts.data());
+  }
+  state.counters["dens_cand_per_int"] =
+      static_cast<double>(ds.candidates) / static_cast<double>(ds.interactions);
+  state.counters["hydro_cand_per_int"] =
+      static_cast<double>(fs.candidates) / static_cast<double>(fs.interactions);
+  state.counters["hydro_int_per_target"] =
+      static_cast<double>(fs.interactions) / static_cast<double>(initial.size());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SphNeighbourSearch)
+    ->Args({20000, 0})
+    ->Args({20000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // End-to-end Simulation::step with the once-per-pass pipeline

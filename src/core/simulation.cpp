@@ -189,11 +189,14 @@ StepStats Simulation::step() {
     computeForces(stats, /*first_pass=*/true);
     {
       util::TimerRegistry::Scope scope(timers_, "Final_kick");
-      for (std::size_t i = 0; i < n_local_; ++i) {
-        parts_[i].vel += 0.5 * dt * parts_[i].acc;
+      const auto n_loc = static_cast<std::int64_t>(n_local_);
+#pragma omp parallel for schedule(static)
+      for (std::int64_t i = 0; i < n_loc; ++i) {
+        Particle& p = parts_[static_cast<std::size_t>(i)];
+        p.vel += 0.5 * dt * p.acc;
         // Work accrual: one closing kick, gas costing double for its extra
         // density + hydro passes. Feeds the weighted decomposition only.
-        parts_[i].work += parts_[i].isGas() ? 2.0 : 1.0;
+        p.work += p.isGas() ? 2.0 : 1.0;
       }
     }
   }
@@ -345,6 +348,7 @@ namespace {
 void accumulate(sph::DensityStats& into, const sph::DensityStats& ds) {
   into.max_iterations = std::max(into.max_iterations, ds.max_iterations);
   into.interactions += ds.interactions;
+  into.candidates += ds.candidates;
   into.tree_builds += ds.tree_builds;
   into.t_build += ds.t_build;
   into.t_walk += ds.t_walk;
@@ -353,6 +357,7 @@ void accumulate(sph::DensityStats& into, const sph::DensityStats& ds) {
 
 void accumulate(sph::ForceStats& into, const sph::ForceStats& fs) {
   into.interactions += fs.interactions;
+  into.candidates += fs.candidates;
   into.tree_builds += fs.tree_builds;
   into.t_build += fs.t_build;
   into.t_walk += fs.t_walk;
@@ -968,11 +973,13 @@ void Simulation::computeForces(StepStats& stats, bool first_pass) {
     last_cfl_dt_ = fs.dt_cfl_min;
     work_seconds_accum_ += util::wtime() - t0;
   }
-  std::size_t n_gas = 0;
-  for (std::size_t i = 0; i < n_local_; ++i) {
-    if (parts_[i].isGas()) ++n_gas;
+  const auto n_loc = static_cast<std::int64_t>(n_local_);
+  std::int64_t n_gas = 0;
+#pragma omp parallel for schedule(static) reduction(+ : n_gas)
+  for (std::int64_t i = 0; i < n_loc; ++i) {
+    if (parts_[static_cast<std::size_t>(i)].isGas()) ++n_gas;
   }
-  stats.force_evaluations += n_local_ + n_gas;
+  stats.force_evaluations += n_local_ + static_cast<std::size_t>(n_gas);
 }
 
 void Simulation::captureAndSendRegions(const std::vector<stellar::SnEvent>& events,

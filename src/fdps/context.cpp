@@ -89,8 +89,7 @@ const std::vector<TargetGroup>& StepContext::gasGroups(std::span<const Particle>
   n_local = std::min(n_local, work.size());
   if (!gas_groups_valid_ || gas_grp_n_ != work.size() || gas_grp_local_ != n_local ||
       gas_gs_ != group_size) {
-    gas_groups_ = makeTargetGroups(work.subspan(0, n_local), group_size,
-                                   /*gas_only=*/true);
+    gas_groups_ = makeGasTargetGroups(work.subspan(0, n_local), group_size);
     gas_groups_valid_ = true;
     gas_grp_n_ = work.size();
     gas_grp_local_ = n_local;
@@ -153,7 +152,7 @@ const std::vector<TargetGroup>& StepContext::activeGasGroups(
       std::equal(subset.begin(), subset.end(), active_gas_subset_.begin())) {
     return active_gas_groups_;
   }
-  active_gas_groups_ = makeTargetGroups(work, subset, group_size);
+  active_gas_groups_ = makeGasTargetGroups(work, subset, group_size);
   active_gas_subset_.assign(subset.begin(), subset.end());
   active_gas_gs_ = group_size;
   active_gas_groups_valid_ = true;

@@ -66,6 +66,10 @@
 /// no per-group allocation. A ThreadArena must only ever be touched by the
 /// thread that owns the index — there is no internal locking.
 ///
+/// **SPH payload.** `sphPayload()` holds the per-pass neighbour payload in
+/// gas-tree entry order (see SphPayload). Each SPH pass refills it before
+/// its group loop, so it is never stale across passes.
+///
 /// **Thread safety.** StepContext itself is NOT thread-safe: the accessor
 /// methods (gravityTree, gasTree, …Groups, refreshGasSmoothing,
 /// invalidate, beginStep) must be called from serial code (outside any
@@ -100,16 +104,16 @@ struct ThreadArena {
   // SoA source staging, double precision (F64 gravity, SPH candidates).
   std::vector<double> sx, sy, sz, sm, se2;
 
-  // Per-candidate scratch for the SPH passes: both the density closure and
-  // the hydro-force prefilter store *squared* distances here — treat the
-  // contents as owned by whichever kernel filled it last.
-  std::vector<double> r2;             ///< per-candidate squared distances
-  std::vector<std::uint32_t> sel;     ///< compacted survivor slots
-
-  // SoA candidate fields for the hydro-force kernel.
-  std::vector<double> qvx, qvy, qvz, qh, qrho, qpres, qcs, qdivv, qcurlv;
+  // SPH candidate staging, filled once per group from the SphPayload: the
+  // support H for the hydro prefilter and the originating particle index
+  // for the self test. Candidate positions reuse sx/sy/sz.
+  std::vector<double> qh;
   std::vector<std::uint32_t> qidx;
-  std::vector<std::uint8_t> qrung;  ///< candidate rungs (timestep limiter)
+  // Per-target scratch of the SPH passes: squared candidate distances and
+  // the compacted survivor slots (sized to the candidate count so the
+  // branchless compaction can store unconditionally).
+  std::vector<double> r2;
+  std::vector<std::uint32_t> sel;
 
   /// Saitoh–Makino wake requests collected by the hydro force pass (packed
   /// neighbour<<32|target); merged serially after the parallel region so the
@@ -126,13 +130,28 @@ struct ThreadArena {
   std::vector<float> tx, ty, tz, te2;
   std::vector<double> tax, tay, taz, tpt;
 
-  // Per-candidate derived quantities of the hydro-force pass, staged once
-  // per group (pure j-functions: 1/H, H/2, 1/H^4, P/rho^2, Balsara factor).
-  std::vector<double> qhinv, qhh, qh4, qp2, qbal;
-  // Per-target packed neighbour lists (the compacted `sel` gathered into
-  // contiguous SoA) handed to the PIKG SPH kernels.
+  // Per-target packed neighbour lists, index-gathered from the SphPayload
+  // through the compacted `sel`, handed to the PIKG SPH kernels.
   std::vector<double> kx, ky, kz, km, kvx, kvy, kvz, khf, khh, khi, kh4, kp2,
       krho, kcs, kbal;
+};
+
+/// Per-pass SPH neighbour payload in gas-tree entry order: every j-quantity
+/// the density and hydro kernels read, computed once per gas entry at the
+/// start of a pass instead of once per (group, candidate) pair. The passes
+/// gather from it by entry index, so no kernel touches a ~272-byte Particle
+/// record or re-evaluates the EOS for a neighbour. Owned by the StepContext
+/// — never a function-level static — so concurrently hosted simulations
+/// each fill their own.
+struct SphPayload {
+  // Kinematics (density and hydro passes). Positions, masses and H come
+  // from the tree entries, the rest from the originating particle.
+  std::vector<double> x, y, z, m, vx, vy, vz;
+  std::vector<std::uint32_t> idx;  ///< originating index into the work array
+  // Hydro-only: support H and its derived forms, density, P/rho^2 and sound
+  // speed from the predicted u, the Balsara switch, and the rung.
+  std::vector<double> h, hh, hinv, h4, rho, p2, cs, bal;
+  std::vector<std::uint8_t> rung;
 };
 
 class StepContext {
@@ -158,7 +177,8 @@ class StepContext {
   const std::vector<TargetGroup>& gravityGroups(std::span<const Particle> particles,
                                                 int group_size);
 
-  /// Morton-ordered gas-only target groups over the local prefix.
+  /// h-homogeneous gas target groups over the local prefix
+  /// (makeGasTargetGroups).
   const std::vector<TargetGroup>& gasGroups(std::span<const Particle> work,
                                             std::size_t n_local, int group_size);
 
@@ -182,7 +202,8 @@ class StepContext {
   /// into the particle array), built into member storage to keep the
   /// allocation churn bounded; the reference is valid until the next call
   /// on the same slot. Gravity and gas actives use separate slots so one
-  /// sub-step can hold both. The gas slot caches by subset *content*: the
+  /// sub-step can hold both; the gas slot groups h-homogeneously like
+  /// gasGroups(). The gas slot caches by subset *content*: the
   /// density and hydro-force passes of one sub-step call with the same
   /// active set and no intervening drift, so the second call is a hit.
   /// invalidate() and the position refreshes clear it (positions moved, so
@@ -280,6 +301,10 @@ class StepContext {
   [[nodiscard]] ThreadArena& arena(int tid) { return arenas_[static_cast<std::size_t>(tid)]; }
   [[nodiscard]] int numArenas() const { return static_cast<int>(arenas_.size()); }
 
+  /// The SPH passes' j-payload (filled by each pass's serial prologue,
+  /// read-only inside its parallel loop).
+  [[nodiscard]] SphPayload& sphPayload() { return sph_payload_; }
+
   /// Grow the arena pool to the current omp_get_max_threads(). Called from
   /// the serial prologue of every force pass so a later omp_set_num_threads
   /// increase cannot index past the pool built at construction time.
@@ -307,6 +332,7 @@ class StepContext {
   int gravity_leaf_ = 0, gas_leaf_ = 0, gravity_gs_ = 0, gas_gs_ = 0;
 
   std::vector<ThreadArena> arenas_;
+  SphPayload sph_payload_;
 
   int builds_step_ = 0, refreshes_step_ = 0;
   std::uint64_t builds_total_ = 0, refreshes_total_ = 0;

@@ -1,6 +1,8 @@
 #include "fdps/tree.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <numeric>
 #include <stdexcept>
 
@@ -56,6 +58,26 @@ void leafMoments(SourceTree::Node& n, std::span<const SourceEntry> entries) {
   n.eps_mean = m > 0.0 ? weps / m : 1.0;
   n.max_h = maxh;
 }
+
+/// Depth-first walk stack held in the walker's own frame, so a traversal
+/// allocates nothing. Node levels stop at kMortonMaxLevel and a pop pushes at
+/// most 8 children, so at most 7 siblings wait per level: 7 * kMortonMaxLevel
+/// + 8 slots cover the deepest walk. The visit order it yields is fixed by
+/// the tree alone, which the SPH passes' summation order relies on.
+class WalkStack {
+ public:
+  explicit WalkStack(std::int32_t root) { push(root); }
+  void push(std::int32_t node) {
+    assert(size_ < slots_.size());
+    slots_[size_++] = node;
+  }
+  std::int32_t pop() { return slots_[--size_]; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+ private:
+  std::array<std::int32_t, 7 * kMortonMaxLevel + 8> slots_{};
+  std::size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -507,10 +529,9 @@ void SourceTree::gatherInteraction(const Box& target, double theta,
                                    std::vector<std::uint32_t>& ep,
                                    std::vector<Monopole>& sp) const {
   if (nodes_.empty()) return;
-  std::vector<std::int32_t> stack{0};
+  WalkStack stack(0);
   while (!stack.empty()) {
-    const Node& n = nodes_[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
+    const Node& n = nodes_[static_cast<std::size_t>(stack.pop())];
     const double d = target.distance(n.com);
     if (d > 0.0 && n.size() < theta * d) {
       sp.push_back({n.com, n.mass, n.eps_mean});
@@ -521,7 +542,7 @@ void SourceTree::gatherInteraction(const Box& target, double theta,
       continue;
     }
     for (std::int32_t c = 0; c < n.n_children; ++c) {
-      stack.push_back(child_links_[static_cast<std::size_t>(n.first_child + c)]);
+      stack.push(child_links_[static_cast<std::size_t>(n.first_child + c)]);
     }
   }
 }
@@ -529,10 +550,9 @@ void SourceTree::gatherInteraction(const Box& target, double theta,
 void SourceTree::gatherNeighbors(const Box& target, double gather_radius,
                                  std::vector<std::uint32_t>& out) const {
   if (nodes_.empty()) return;
-  std::vector<std::int32_t> stack{0};
+  WalkStack stack(0);
   while (!stack.empty()) {
-    const Node& n = nodes_[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
+    const Node& n = nodes_[static_cast<std::size_t>(stack.pop())];
     const double reach = std::max(gather_radius, n.max_h);
     if (target.distance(n.bbox) > reach) continue;
     if (n.isLeaf()) {
@@ -543,7 +563,7 @@ void SourceTree::gatherNeighbors(const Box& target, double gather_radius,
       continue;
     }
     for (std::int32_t c = 0; c < n.n_children; ++c) {
-      stack.push_back(child_links_[static_cast<std::size_t>(n.first_child + c)]);
+      stack.push(child_links_[static_cast<std::size_t>(n.first_child + c)]);
     }
   }
 }
@@ -552,10 +572,9 @@ void SourceTree::exportLet(const Box& remote_box, double theta,
                            std::vector<SourceEntry>& out,
                            std::vector<LetExportItem>* items) const {
   if (nodes_.empty()) return;
-  std::vector<std::int32_t> stack{0};
+  WalkStack stack(0);
   while (!stack.empty()) {
-    const Node& n = nodes_[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
+    const Node& n = nodes_[static_cast<std::size_t>(stack.pop())];
     const double d = remote_box.distance(n.com);
     if (d > 0.0 && n.size() < theta * d) {
       SourceEntry e;
@@ -576,18 +595,22 @@ void SourceTree::exportLet(const Box& remote_box, double theta,
       continue;
     }
     for (std::int32_t c = 0; c < n.n_children; ++c) {
-      stack.push_back(child_links_[static_cast<std::size_t>(n.first_child + c)]);
+      stack.push(child_links_[static_cast<std::size_t>(n.first_child + c)]);
     }
   }
 }
 
 namespace {
 
-/// Shared tail of both makeTargetGroups overloads: Morton-sort `sel` by the
-/// particles' current positions and chunk into group_size runs.
+/// Shared tail of every makeTargetGroups/makeGasTargetGroups overload:
+/// Morton-sort `sel` by the particles' current positions and cut the sorted
+/// run into groups of at most group_size. With `h_aware` a group also closes
+/// before a member that would stretch its box's longest side past
+/// kGasGroupExtentPerH times the smallest support H among its members.
 std::vector<TargetGroup> groupsFromSelection(std::span<const Particle> particles,
                                              std::span<const std::uint32_t> sel,
-                                             const Box& all, int group_size) {
+                                             const Box& all, int group_size,
+                                             bool h_aware) {
   std::vector<TargetGroup> groups;
   if (sel.empty()) return groups;
   const Box cube = all.boundingCube();
@@ -606,13 +629,40 @@ std::vector<TargetGroup> groupsFromSelection(std::span<const Particle> particles
   radixSortCore(keys, {kb, ia, ib, counts},
                 [&](std::size_t dst, std::uint32_t src) { sorted_sel[dst] = sel[src]; });
 
+  // Group boundaries: fixed-size chunks, or one serial sweep that grows each
+  // run until it is full or would outgrow its smallest member's support.
   const auto gs = static_cast<std::size_t>(std::max(group_size, 1));
-  groups.resize((sorted_sel.size() + gs - 1) / gs);
+  std::vector<std::size_t> starts;
+  if (!h_aware) {
+    for (std::size_t off = 0; off < sorted_sel.size(); off += gs) starts.push_back(off);
+  } else {
+    Box box;
+    double h_min = 0.0;
+    for (std::size_t k = 0; k < sorted_sel.size(); ++k) {
+      const Particle& p = particles[sorted_sel[k]];
+      Box grown = box;
+      grown.extend(p.pos);
+      const double h_grown = std::min(h_min, p.h);
+      const Vec3d e = grown.extent();
+      if (starts.empty() || k - starts.back() == gs ||
+          std::max({e.x, e.y, e.z}) > kGasGroupExtentPerH * h_grown) {
+        starts.push_back(k);
+        box = Box{};
+        box.extend(p.pos);
+        h_min = p.h;
+      } else {
+        box = grown;
+        h_min = h_grown;
+      }
+    }
+  }
+
+  groups.resize(starts.size());
 #pragma omp parallel for schedule(static)
   for (std::size_t g = 0; g < groups.size(); ++g) {
     TargetGroup& grp = groups[g];
-    const std::size_t off = g * gs;
-    const std::size_t end = std::min(off + gs, sorted_sel.size());
+    const std::size_t off = starts[g];
+    const std::size_t end = g + 1 < starts.size() ? starts[g + 1] : sorted_sel.size();
     grp.indices.assign(sorted_sel.begin() + static_cast<std::ptrdiff_t>(off),
                        sorted_sel.begin() + static_cast<std::ptrdiff_t>(end));
     for (const std::uint32_t i : grp.indices) grp.bbox.extend(particles[i].pos);
@@ -620,46 +670,67 @@ std::vector<TargetGroup> groupsFromSelection(std::span<const Particle> particles
   return groups;
 }
 
+/// Bounding box of the particles named by `subset`. Recomputed every
+/// sub-step (the active set changes each closing, and mid-step limiter wakes
+/// change it again); a simd min/max reduction keeps this O(active) sweep off
+/// the quiet-substep floor instead of serializing on Box::extend's
+/// dependency chain.
+Box subsetBox(std::span<const Particle> particles, std::span<const std::uint32_t> subset) {
+  Box all;
+  if (subset.empty()) return all;
+  double lx = particles[subset[0]].pos.x, ly = particles[subset[0]].pos.y,
+         lz = particles[subset[0]].pos.z;
+  double hx = lx, hy = ly, hz = lz;
+#pragma omp simd reduction(min : lx, ly, lz) reduction(max : hx, hy, hz)
+  for (std::size_t s = 0; s < subset.size(); ++s) {
+    const Vec3d p = particles[subset[s]].pos;
+    lx = std::min(lx, p.x);
+    ly = std::min(ly, p.y);
+    lz = std::min(lz, p.z);
+    hx = std::max(hx, p.x);
+    hy = std::max(hy, p.y);
+    hz = std::max(hz, p.z);
+  }
+  all.lo = {lx, ly, lz};
+  all.hi = {hx, hy, hz};
+  return all;
+}
+
 }  // namespace
 
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
-                                          int group_size, bool gas_only) {
-  std::vector<std::uint32_t> sel;
+                                          int group_size) {
+  std::vector<std::uint32_t> sel(particles.size());
+  std::iota(sel.begin(), sel.end(), 0u);
   Box all;
-  for (std::uint32_t i = 0; i < particles.size(); ++i) {
-    if (gas_only && !particles[i].isGas()) continue;
-    sel.push_back(i);
-    all.extend(particles[i].pos);
-  }
-  return groupsFromSelection(particles, sel, all, group_size);
+  for (const Particle& p : particles) all.extend(p.pos);
+  return groupsFromSelection(particles, sel, all, group_size, /*h_aware=*/false);
 }
 
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
                                           std::span<const std::uint32_t> subset,
                                           int group_size) {
+  return groupsFromSelection(particles, subset, subsetBox(particles, subset), group_size,
+                             /*h_aware=*/false);
+}
+
+std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
+                                             int group_size) {
+  std::vector<std::uint32_t> sel;
   Box all;
-  if (!subset.empty()) {
-    // The subset box is recomputed every sub-step (the active set changes
-    // each closing, and mid-step limiter wakes change it again); a simd
-    // min/max reduction keeps this O(active) sweep off the quiet-substep
-    // floor instead of serializing on Box::extend's dependency chain.
-    double lx = particles[subset[0]].pos.x, ly = particles[subset[0]].pos.y,
-           lz = particles[subset[0]].pos.z;
-    double hx = lx, hy = ly, hz = lz;
-#pragma omp simd reduction(min : lx, ly, lz) reduction(max : hx, hy, hz)
-    for (std::size_t s = 0; s < subset.size(); ++s) {
-      const Vec3d p = particles[subset[s]].pos;
-      lx = std::min(lx, p.x);
-      ly = std::min(ly, p.y);
-      lz = std::min(lz, p.z);
-      hx = std::max(hx, p.x);
-      hy = std::max(hy, p.y);
-      hz = std::max(hz, p.z);
-    }
-    all.lo = {lx, ly, lz};
-    all.hi = {hx, hy, hz};
+  for (std::uint32_t i = 0; i < particles.size(); ++i) {
+    if (!particles[i].isGas()) continue;
+    sel.push_back(i);
+    all.extend(particles[i].pos);
   }
-  return groupsFromSelection(particles, subset, all, group_size);
+  return groupsFromSelection(particles, sel, all, group_size, /*h_aware=*/true);
+}
+
+std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
+                                             std::span<const std::uint32_t> subset,
+                                             int group_size) {
+  return groupsFromSelection(particles, subset, subsetBox(particles, subset), group_size,
+                             /*h_aware=*/true);
 }
 
 std::vector<SourceEntry> makeSourceEntries(std::span<const Particle> particles,

@@ -164,11 +164,10 @@ struct TargetGroup {
   std::vector<std::uint32_t> indices;  ///< indices into the particle array
 };
 
-/// Chunk `particles` (any species filter applied by `mask`) into groups of at
-/// most `group_size`, contiguous in Morton order.
+/// Chunk `particles` into groups of at most `group_size`, contiguous in
+/// Morton order (gravity targets).
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
-                                          int group_size,
-                                          bool gas_only = false);
+                                          int group_size);
 
 /// Active-subset variant: group only the particles named by `subset`
 /// (indices into `particles`), Morton-sorted by their *current* positions so
@@ -178,6 +177,28 @@ std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
                                           std::span<const std::uint32_t> subset,
                                           int group_size);
+
+/// Longest box side, in units of the smallest member support H, that an SPH
+/// target group may span (see makeGasTargetGroups). Swept on the MW-mini SN
+/// workload (4-core Xeon, AVX-512): 1, 1.5, 2, 3 and 4 left 267, 363, 485,
+/// 718 and 912 density candidates per target. 2 was the fastest step, with
+/// 1.5 and 3 about 4-6% slower and 1 about 19% slower (more, smaller walks).
+inline constexpr double kGasGroupExtentPerH = 2.0;
+
+/// SPH target groups over the gas in `particles`: a Morton run closes when
+/// it holds `group_size` members or when the next member would stretch its
+/// box's longest side past kGasGroupExtentPerH times the smallest member H.
+/// A group shares one neighbour walk sized by its largest H, so plain Morton
+/// runs that straddle a dense clump and diffuse gas make every clump member
+/// scan the diffuse member's thousands of candidates; h-homogeneous groups
+/// keep the shared candidate list close to each member's own neighbourhood.
+std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
+                                             int group_size);
+
+/// Active-subset variant of makeGasTargetGroups (`subset` must name gas).
+std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
+                                             std::span<const std::uint32_t> subset,
+                                             int group_size);
 
 /// Convenience: build gravity source entries from local particles.
 std::vector<SourceEntry> makeSourceEntries(std::span<const Particle> particles,

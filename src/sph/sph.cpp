@@ -27,22 +27,78 @@ pikg::gen::SphKernelTables sphTablesFor(const SphParams& params) {
   return pikg::gen::sphTables(params.kernel.type == KernelType::WendlandC2 ? 1 : 0);
 }
 
-/// Group loop of the density solve, shared by the full-set and active-set
-/// overloads. `stats` arrives with t_build/tree_builds filled by the caller.
+/// Refill the per-pass j-payload from the gas tree's entries (serial
+/// prologue of each pass; the loop itself is parallel over entries). The
+/// density pass needs only the kinematics; the hydro pass adds the
+/// thermodynamic block. Each value is a pure function of one entry, so
+/// where it is computed cannot change a kernel input.
+void fillPayload(fdps::SphPayload& pl, const SourceTree& tree,
+                 std::span<const Particle> work, bool hydro) {
+  const auto& entries = tree.entries();
+  const std::size_t n = entries.size();
+  pl.x.resize(n); pl.y.resize(n); pl.z.resize(n); pl.m.resize(n);
+  pl.vx.resize(n); pl.vy.resize(n); pl.vz.resize(n);
+  pl.idx.resize(n);
+  if (hydro) {
+    pl.h.resize(n); pl.hh.resize(n); pl.hinv.resize(n); pl.h4.resize(n);
+    pl.rho.resize(n); pl.p2.resize(n); pl.cs.resize(n); pl.bal.resize(n);
+    pl.rung.resize(n);
+  }
+  const auto n_entries = static_cast<std::int64_t>(n);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < n_entries; ++i) {
+    const auto e = static_cast<std::size_t>(i);
+    const SourceEntry& s = entries[e];
+    const Particle& q = work[s.idx];
+    pl.x[e] = s.pos.x; pl.y[e] = s.pos.y; pl.z[e] = s.pos.z;
+    pl.m[e] = s.mass;
+    pl.vx[e] = q.vel.x; pl.vy[e] = q.vel.y; pl.vz[e] = q.vel.z;
+    pl.idx[e] = s.idx;
+    if (!hydro) continue;
+    // Supports come from the tree entry (the refreshed, converged H).
+    const double Hj = s.h;
+    const double hj = 0.5 * Hj;
+    const double hinv_j = 1.0 / Hj;
+    const double hinv2_j = hinv_j * hinv_j;
+    pl.h[e] = Hj;
+    pl.hh[e] = hj;
+    pl.hinv[e] = hinv_j;
+    pl.h4[e] = hinv2_j * hinv2_j;
+    // Thermodynamics from the *predicted* u: for an active neighbour
+    // u_pred == u and this reproduces q.pres/q.cs exactly (same EOS, same
+    // inputs); for an inactive one it is the drift-advanced estimate at the
+    // current sub-step time instead of the state frozen at its last closing.
+    // (Predicting rho through the continuity equation as well was tried and
+    // rejected: mixed-epoch density estimates break the pairwise symmetry
+    // SPH conservation leans on and measurably worsen blastwave drift.)
+    const double pres = pressure(q.rho, q.u_pred);
+    const double cj = soundSpeed(q.u_pred);
+    pl.rho[e] = q.rho;
+    pl.p2[e] = pres / (q.rho * q.rho);
+    pl.cs[e] = cj;
+    pl.bal[e] = std::abs(q.divv) /
+                (std::abs(q.divv) + q.curlv + 1e-4 * cj / std::max(hj, 1e-30));
+    pl.rung[e] = q.rung;
+  }
+}
+
+/// Group loop of the density solve, shared by every overload. `stats`
+/// arrives with t_build/tree_builds filled by the caller.
 void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
                        const std::vector<TargetGroup>& groups,
                        std::span<Particle> work, const SphParams& params,
                        DensityStats& stats) {
-  const auto& entries = tree.entries();
+  const fdps::SphPayload& pl = ctx.sphPayload();
   // Kernel sums run through the PIKG-generated backend for the requested
   // ISA (resolved once per pass; all threads run the same backend).
   const pikg::KernelSet& kset = pikg::kernels(params.isa);
   const pikg::gen::SphKernelTables tabs = sphTablesFor(params);
   int max_iter = 0;
-  std::uint64_t interactions = 0;
+  std::uint64_t interactions = 0, candidates = 0;
   double walk_s = 0.0, kernel_s = 0.0;
 
-#pragma omp parallel reduction(max : max_iter) reduction(+ : interactions, walk_s, kernel_s)
+#pragma omp parallel reduction(max : max_iter) \
+    reduction(+ : interactions, candidates, walk_s, kernel_s)
   {
     fdps::ThreadArena& a = ctx.arena(ompThreadId());
 
@@ -54,11 +110,10 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
 
       // Group-shared candidate gather: one tree walk with the group's
       // maximum support (+30% closure margin) serves every member, and the
-      // candidates are staged into SoA once per (group, radius). The seed
-      // closure instead re-walked the tree and radius-sorted the candidates
-      // per particle per H change — the counting the closure needs is done
-      // below by a vectorized compare over squared distances, so a regather
-      // only happens when some member's H outgrows the shared radius.
+      // candidate positions are staged into SoA once per (group, radius).
+      // The closure counts by a vectorized compare over squared distances,
+      // so a regather only happens when some member's H outgrows the shared
+      // radius.
       double search = 0.0;
       auto gatherGroup = [&](double radius) {
         search = radius;
@@ -67,14 +122,11 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
         tree.gatherNeighbors(grp.bbox, search, a.idx);
         walk_s += util::wtime() - tw;
         const std::size_t nc = a.idx.size();
-        a.sx.resize(nc); a.sy.resize(nc); a.sz.resize(nc); a.sm.resize(nc);
-        a.qvx.resize(nc); a.qvy.resize(nc); a.qvz.resize(nc);
+        a.sx.resize(nc); a.sy.resize(nc); a.sz.resize(nc);
+        a.r2.resize(nc); a.sel.resize(nc);
         for (std::size_t j = 0; j < nc; ++j) {
-          const SourceEntry& s = entries[a.idx[j]];
-          const Particle& q = work[s.idx];
-          a.sx[j] = s.pos.x; a.sy[j] = s.pos.y; a.sz[j] = s.pos.z;
-          a.sm[j] = s.mass;
-          a.qvx[j] = q.vel.x; a.qvy[j] = q.vel.y; a.qvz[j] = q.vel.z;
+          const std::uint32_t e = a.idx[j];
+          a.sx[j] = pl.x[e]; a.sy[j] = pl.y[e]; a.sz[j] = pl.z[e];
         }
       };
       double group_h = 0.0;
@@ -90,7 +142,7 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
         // group box (hence of any member) is staged.
         auto distances = [&] {
           const std::size_t nc = a.idx.size();
-          a.r2.resize(nc);
+          candidates += nc;
 #pragma omp simd
           for (std::size_t j = 0; j < nc; ++j) {
             const double dx = px - a.sx[j];
@@ -103,7 +155,7 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
         auto countWithin = [&](double radius) {
           const double cut = radius * (1.0 - 1e-15);
           const double cut2 = cut * cut;
-          const std::size_t nc = a.r2.size();
+          const std::size_t nc = a.idx.size();
           int c = 0;
 #pragma omp simd reduction(+ : c)
           for (std::size_t j = 0; j < nc; ++j) c += a.r2[j] <= cut2 ? 1 : 0;
@@ -158,29 +210,30 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
         max_iter = std::max(max_iter, it + 1);
 
         // Final gather statistics with the converged support: compact the
-        // survivors, then one scalar pass for the kernel sums.
+        // survivors branch-free (candidate order is kept, so the kernel sums
+        // run in the tree's traversal order whatever the grouping), gather
+        // their payload, then one PIKG density call.
         if (H > search) {
           gatherGroup(1.3 * H);
           distances();
         }
         const double cut = H * (1.0 - 1e-15);
         const double cut2 = cut * cut;
-        a.sel.clear();
-        const std::size_t nc = a.r2.size();
+        const std::size_t nc = a.idx.size();
+        std::size_t nsel = 0;
         for (std::size_t j = 0; j < nc; ++j) {
-          if (a.r2[j] <= cut2) a.sel.push_back(static_cast<std::uint32_t>(j));
+          a.sel[nsel] = static_cast<std::uint32_t>(j);
+          nsel += a.r2[j] <= cut2 ? 1 : 0;
         }
-        // Pack the survivors into contiguous SoA and run the PIKG density
-        // kernel (rho plus the un-normalized div/curl estimators).
-        const std::size_t nsel = a.sel.size();
         a.kx.resize(nsel); a.ky.resize(nsel); a.kz.resize(nsel);
         a.km.resize(nsel);
         a.kvx.resize(nsel); a.kvy.resize(nsel); a.kvz.resize(nsel);
         for (std::size_t t = 0; t < nsel; ++t) {
           const std::size_t j = a.sel[t];
+          const std::uint32_t e = a.idx[j];
           a.kx[t] = a.sx[j]; a.ky[t] = a.sy[j]; a.kz[t] = a.sz[j];
-          a.km[t] = a.sm[j];
-          a.kvx[t] = a.qvx[j]; a.kvy[t] = a.qvy[j]; a.kvz[t] = a.qvz[j];
+          a.km[t] = pl.m[e];
+          a.kvx[t] = pl.vx[e]; a.kvy[t] = pl.vy[e]; a.kvz[t] = pl.vz[e];
         }
         const double pvx = p.vel.x, pvy = p.vel.y, pvz = p.vel.z;
         const double hinv = 1.0 / H;
@@ -215,28 +268,30 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
 
   stats.max_iterations = max_iter;
   stats.interactions = interactions;
+  stats.candidates = candidates;
   stats.t_walk = walk_s;
   stats.t_kernel = kernel_s;
 }
 
-/// Group loop of the hydro force, shared by the full-set and active-set
-/// overloads. With `wake_out` non-null the pass doubles as the Saitoh–Makino
-/// limiter's detection sweep: every evaluated pair whose target rung exceeds
-/// the neighbour's by more than kLimiterGap emits a wake request.
+/// Group loop of the hydro force, shared by every overload. With `wake_out`
+/// non-null the pass doubles as the Saitoh–Makino limiter's detection sweep:
+/// every evaluated pair whose target rung exceeds the neighbour's by more
+/// than kLimiterGap emits a wake request.
 void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
                      const std::vector<TargetGroup>& groups,
                      std::span<Particle> work, const SphParams& params,
                      ForceStats& stats, std::vector<std::uint64_t>* wake_out) {
-  const auto& entries = tree.entries();
+  const fdps::SphPayload& pl = ctx.sphPayload();
   // Pair math runs through the PIKG-generated backend; the host keeps the
   // prefilter, neighbour selection, and limiter bookkeeping.
   const pikg::KernelSet& kset = pikg::kernels(params.isa);
   const pikg::gen::SphKernelTables tabs = sphTablesFor(params);
-  std::uint64_t interactions = 0;
+  std::uint64_t interactions = 0, candidates = 0;
   double walk_s = 0.0, kernel_s = 0.0;
   double dt_cfl = std::numeric_limits<double>::infinity();
 
-#pragma omp parallel reduction(+ : interactions, walk_s, kernel_s) reduction(min : dt_cfl)
+#pragma omp parallel reduction(+ : interactions, candidates, walk_s, kernel_s) \
+    reduction(min : dt_cfl)
   {
     fdps::ThreadArena& a = ctx.arena(ompThreadId());
     a.wake.clear();
@@ -254,54 +309,18 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
       walk_s += util::wtime() - tw;
 
       const double tk = util::wtime();
-      // Stage the shared candidate list into SoA once per group: every
-      // particle in the group then runs a vectorized distance prefilter
-      // over packed arrays instead of chasing 272-byte Particle records.
+      // Stage what the prefilter reads (position, H, particle index) into
+      // SoA once per group; survivors gather the rest from the payload.
       const std::size_t nc = a.idx.size();
       a.sx.resize(nc); a.sy.resize(nc); a.sz.resize(nc);
-      a.sm.resize(nc); a.qh.resize(nc);
-      a.qvx.resize(nc); a.qvy.resize(nc); a.qvz.resize(nc);
-      a.qrho.resize(nc); a.qpres.resize(nc); a.qcs.resize(nc);
-      a.qdivv.resize(nc); a.qcurlv.resize(nc);
-      a.qidx.resize(nc);
-      a.qrung.resize(nc);
-      a.qhinv.resize(nc); a.qhh.resize(nc); a.qh4.resize(nc);
-      a.qp2.resize(nc); a.qbal.resize(nc);
+      a.qh.resize(nc); a.qidx.resize(nc);
+      a.r2.resize(nc); a.sel.resize(nc);
       for (std::size_t j = 0; j < nc; ++j) {
-        const SourceEntry& s = entries[a.idx[j]];
-        const Particle& q = work[s.idx];
-        a.sx[j] = s.pos.x; a.sy[j] = s.pos.y; a.sz[j] = s.pos.z;
-        a.sm[j] = s.mass; a.qh[j] = s.h;
-        a.qvx[j] = q.vel.x; a.qvy[j] = q.vel.y; a.qvz[j] = q.vel.z;
-        // Thermodynamics from the *predicted* u: for an active neighbour
-        // u_pred == u and this reproduces q.pres/q.cs exactly (same EOS,
-        // same inputs); for an inactive one it is the drift-advanced
-        // estimate at the current sub-step time instead of the state frozen
-        // at its last closing. (Predicting rho through the continuity
-        // equation as well was tried and rejected: mixed-epoch density
-        // estimates break the pairwise symmetry SPH conservation leans on
-        // and measurably worsen blastwave drift.)
-        a.qrho[j] = q.rho;
-        a.qpres[j] = pressure(q.rho, q.u_pred);
-        a.qcs[j] = soundSpeed(q.u_pred);
-        a.qdivv[j] = q.divv; a.qcurlv[j] = q.curlv;
-        a.qidx[j] = s.idx;
-        a.qrung[j] = q.rung;
-        // Pure j-quantities of the pair kernel, staged once per group:
-        // supports, P/rho^2, and the Balsara factor.
-        const double Hj = s.h;
-        const double hj = 0.5 * Hj;
-        const double hinv_j = 1.0 / Hj;
-        const double hinv2_j = hinv_j * hinv_j;
-        a.qhinv[j] = hinv_j;
-        a.qhh[j] = hj;
-        a.qh4[j] = hinv2_j * hinv2_j;
-        a.qp2[j] = a.qpres[j] / (q.rho * q.rho);
-        const double cj = a.qcs[j];
-        a.qbal[j] = std::abs(q.divv) /
-                    (std::abs(q.divv) + q.curlv + 1e-4 * cj / std::max(hj, 1e-30));
+        const std::uint32_t e = a.idx[j];
+        a.sx[j] = pl.x[e]; a.sy[j] = pl.y[e]; a.sz[j] = pl.z[e];
+        a.qh[j] = pl.h[e];
+        a.qidx[j] = pl.idx[e];
       }
-      a.r2.resize(nc);
 
       for (const auto pi : grp.indices) {
         Particle& p = work[pi];
@@ -315,6 +334,7 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
 
         // Vectorized distance prefilter ...
         const double px = p.pos.x, py = p.pos.y, pz = p.pos.z;
+        candidates += nc;
 #pragma omp simd
         for (std::size_t j = 0; j < nc; ++j) {
           const double dx = px - a.sx[j];
@@ -322,48 +342,47 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
           const double dz = pz - a.sz[j];
           a.r2[j] = dx * dx + dy * dy + dz * dz;
         }
-        // ... then compact the true neighbours (r < max(Hi, Hj), not self).
-        a.sel.clear();
+        // ... then a branch-free compaction of the true neighbours
+        // (r < max(Hi, Hj), not self), kept in candidate order.
+        std::size_t nsel = 0;
         for (std::size_t j = 0; j < nc; ++j) {
           const double rmax = std::max(Hi, a.qh[j]);
-          if (a.r2[j] < rmax * rmax && a.r2[j] > 0.0 && a.qidx[j] != pi) {
-            a.sel.push_back(static_cast<std::uint32_t>(j));
-          }
+          a.sel[nsel] = static_cast<std::uint32_t>(j);
+          nsel += static_cast<std::size_t>((a.r2[j] < rmax * rmax) & (a.r2[j] > 0.0) &
+                                           (a.qidx[j] != pi));
         }
 
-        // Timestep-limiter bookkeeping (host-side integers): deepest
-        // neighbour rung, plus wake requests for pairs lagging this
-        // (active) target by more than the allowed gap.
-        int rung_ngb = 0;
-        const int rung_i = static_cast<int>(p.rung);
-        for (const auto j : a.sel) {
-          const int rung_j = static_cast<int>(a.qrung[j]);
-          rung_ngb = std::max(rung_ngb, rung_j);
-          if (wake_out != nullptr && rung_i - rung_j > kLimiterGap) {
-            a.wake.push_back(packWake(pi, a.qidx[j]));
-          }
-        }
-        interactions += a.sel.size();
-
-        // Pack the selected neighbours into contiguous SoA and run the PIKG
-        // pair kernel (symmetrized gradient + Monaghan viscosity + signal
-        // velocity max-reduction).
-        const std::size_t nsel = a.sel.size();
+        // Pack the selected neighbours' payload into contiguous SoA for the
+        // PIKG pair kernel, with the timestep-limiter bookkeeping riding
+        // along: deepest neighbour rung, plus wake requests for pairs
+        // lagging this (active) target by more than the allowed gap.
         a.kx.resize(nsel); a.ky.resize(nsel); a.kz.resize(nsel);
         a.km.resize(nsel);
         a.kvx.resize(nsel); a.kvy.resize(nsel); a.kvz.resize(nsel);
         a.khf.resize(nsel); a.khh.resize(nsel); a.khi.resize(nsel);
         a.kh4.resize(nsel); a.kp2.resize(nsel); a.krho.resize(nsel);
         a.kcs.resize(nsel); a.kbal.resize(nsel);
+        int rung_ngb = 0;
+        const int rung_i = static_cast<int>(p.rung);
         for (std::size_t t = 0; t < nsel; ++t) {
           const std::size_t j = a.sel[t];
+          const std::uint32_t e = a.idx[j];
           a.kx[t] = a.sx[j]; a.ky[t] = a.sy[j]; a.kz[t] = a.sz[j];
-          a.km[t] = a.sm[j];
-          a.kvx[t] = a.qvx[j]; a.kvy[t] = a.qvy[j]; a.kvz[t] = a.qvz[j];
-          a.khf[t] = a.qh[j]; a.khh[t] = a.qhh[j]; a.khi[t] = a.qhinv[j];
-          a.kh4[t] = a.qh4[j]; a.kp2[t] = a.qp2[j]; a.krho[t] = a.qrho[j];
-          a.kcs[t] = a.qcs[j]; a.kbal[t] = a.qbal[j];
+          a.km[t] = pl.m[e];
+          a.kvx[t] = pl.vx[e]; a.kvy[t] = pl.vy[e]; a.kvz[t] = pl.vz[e];
+          a.khf[t] = a.qh[j]; a.khh[t] = pl.hh[e]; a.khi[t] = pl.hinv[e];
+          a.kh4[t] = pl.h4[e]; a.kp2[t] = pl.p2[e]; a.krho[t] = pl.rho[e];
+          a.kcs[t] = pl.cs[e]; a.kbal[t] = pl.bal[e];
+          const int rung_j = static_cast<int>(pl.rung[e]);
+          rung_ngb = std::max(rung_ngb, rung_j);
+          if (wake_out != nullptr && rung_i - rung_j > kLimiterGap) {
+            a.wake.push_back(packWake(pi, a.qidx[j]));
+          }
         }
+        interactions += nsel;
+
+        // Symmetrized gradient + Monaghan viscosity + signal-velocity
+        // max-reduction.
         const double pvx = p.vel.x, pvy = p.vel.y, pvz = p.vel.z;
         const double hinv_i = 1.0 / Hi;
         const double hinv2_i = hinv_i * hinv_i;
@@ -406,6 +425,7 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
   }
 
   stats.interactions = interactions;
+  stats.candidates = candidates;
   stats.t_walk = walk_s;
   stats.t_kernel = kernel_s;
   stats.dt_cfl_min = dt_cfl;
@@ -421,15 +441,11 @@ DensityStats solveDensity(std::span<Particle> work, std::size_t n_local,
 
 DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
                           std::size_t n_local, const SphParams& params) {
-  DensityStats stats;
-  const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
-  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
-  if (tree.empty()) return stats;
   const auto& groups = ctx.gasGroups(work, n_local, params.group_size);
-  stats.t_build = util::wtime() - t0;
-  stats.tree_builds = ctx.buildsThisStep() - builds_before;
-  densityOverGroups(ctx, tree, groups, work, params, stats);
+  const double t_groups = util::wtime() - t0;
+  DensityStats stats = solveDensity(ctx, work, params, groups);
+  stats.t_build += t_groups;
   return stats;
 }
 
@@ -437,13 +453,24 @@ DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
                           std::size_t n_local, const SphParams& params,
                           std::span<const std::uint32_t> active) {
   (void)n_local;  // the subset names the targets explicitly
+  if (active.empty()) return {};
+  const double t0 = util::wtime();
+  const auto& groups = ctx.activeGasGroups(work, active, params.group_size);
+  const double t_groups = util::wtime() - t0;
+  DensityStats stats = solveDensity(ctx, work, params, groups);
+  stats.t_build += t_groups;
+  return stats;
+}
+
+DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
+                          const SphParams& params,
+                          const std::vector<fdps::TargetGroup>& groups) {
   DensityStats stats;
-  if (active.empty()) return stats;
   const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
   const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
   if (tree.empty()) return stats;
-  const auto& groups = ctx.activeGasGroups(work, active, params.group_size);
+  fillPayload(ctx.sphPayload(), tree, work, /*hydro=*/false);
   stats.t_build = util::wtime() - t0;
   stats.tree_builds = ctx.buildsThisStep() - builds_before;
   densityOverGroups(ctx, tree, groups, work, params, stats);
@@ -459,16 +486,11 @@ ForceStats accumulateHydroForce(std::span<Particle> work, std::size_t n_local,
 ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
                                 std::size_t n_local, const SphParams& params,
                                 std::vector<std::uint64_t>* wake_out) {
-  ForceStats stats;
-  if (wake_out != nullptr) wake_out->clear();
-  const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
-  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
-  if (tree.empty()) return stats;
   const auto& groups = ctx.gasGroups(work, n_local, params.group_size);
-  stats.t_build = util::wtime() - t0;
-  stats.tree_builds = ctx.buildsThisStep() - builds_before;
-  hydroOverGroups(ctx, tree, groups, work, params, stats, wake_out);
+  const double t_groups = util::wtime() - t0;
+  ForceStats stats = accumulateHydroForce(ctx, work, params, groups, wake_out);
+  stats.t_build += t_groups;
   return stats;
 }
 
@@ -477,14 +499,27 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
                                 std::span<const std::uint32_t> active,
                                 std::vector<std::uint64_t>* wake_out) {
   (void)n_local;
+  if (wake_out != nullptr) wake_out->clear();
+  if (active.empty()) return {};
+  const double t0 = util::wtime();
+  const auto& groups = ctx.activeGasGroups(work, active, params.group_size);
+  const double t_groups = util::wtime() - t0;
+  ForceStats stats = accumulateHydroForce(ctx, work, params, groups, wake_out);
+  stats.t_build += t_groups;
+  return stats;
+}
+
+ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
+                                const SphParams& params,
+                                const std::vector<fdps::TargetGroup>& groups,
+                                std::vector<std::uint64_t>* wake_out) {
   ForceStats stats;
   if (wake_out != nullptr) wake_out->clear();
-  if (active.empty()) return stats;
   const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
   const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
   if (tree.empty()) return stats;
-  const auto& groups = ctx.activeGasGroups(work, active, params.group_size);
+  fillPayload(ctx.sphPayload(), tree, work, /*hydro=*/true);
   stats.t_build = util::wtime() - t0;
   stats.tree_builds = ctx.buildsThisStep() - builds_before;
   hydroOverGroups(ctx, tree, groups, work, params, stats, wake_out);

@@ -63,8 +63,12 @@ struct SphParams {
 struct DensityStats {
   int max_iterations = 0;             ///< worst-case Newton iterations
   std::uint64_t interactions = 0;     ///< kernel evaluations (73 flops each)
+  /// (target, candidate) pairs the distance prefilter scanned, counting
+  /// each closure regather's rescan; candidates / interactions measures how
+  /// well the target groups fit their members' neighbourhoods.
+  std::uint64_t candidates = 0;
   int tree_builds = 0;   ///< gas trees actually (re)built (0 = cache hit)
-  double t_build = 0.0;  ///< seconds: tree + group construction
+  double t_build = 0.0;  ///< seconds: tree, groups and j-payload
   double t_walk = 0.0;   ///< seconds: neighbour gathering, summed over threads
   double t_kernel = 0.0; ///< seconds: closure + kernel sums, summed over threads
   [[nodiscard]] double flops() const { return 73.0 * static_cast<double>(interactions); }
@@ -72,8 +76,9 @@ struct DensityStats {
 
 struct ForceStats {
   std::uint64_t interactions = 0;     ///< pair evaluations (101 flops each)
+  std::uint64_t candidates = 0;  ///< (target, candidate) pairs prefiltered
   int tree_builds = 0;   ///< gas trees actually (re)built (0 = cache hit)
-  double t_build = 0.0;  ///< seconds: tree + group construction
+  double t_build = 0.0;  ///< seconds: tree, groups and j-payload
   double t_walk = 0.0;   ///< seconds: neighbour gathering, summed over threads
   double t_kernel = 0.0; ///< seconds: force kernel, summed over threads
   /// Minimum CFL timestep over the evaluated targets, folded into the force
@@ -106,6 +111,15 @@ DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
                           std::size_t n_local, const SphParams& params,
                           std::span<const std::uint32_t> active);
 
+/// Explicit-groups overload: solve for the members of `groups` (indices
+/// into `work`, all gas), which every other overload routes through with
+/// its own grouping. Any partition of the same targets gives bitwise-equal
+/// results — a target's neighbour set and summation order depend only on
+/// the gas tree, never on which group it shares a walk with.
+DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
+                          const SphParams& params,
+                          const std::vector<fdps::TargetGroup>& groups);
+
 /// Accumulate hydrodynamic accelerations and du/dt into local gas particles;
 /// also records the max signal velocity (Particle::vsig) for the CFL clock
 /// and the deepest neighbour rung (Particle::rung_ngb) for the limiter.
@@ -128,6 +142,13 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
 ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
                                 std::size_t n_local, const SphParams& params,
                                 std::span<const std::uint32_t> active,
+                                std::vector<std::uint64_t>* wake_out = nullptr);
+
+/// Explicit-groups overload of the hydro force (grouping-invariant like the
+/// density one).
+ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
+                                const SphParams& params,
+                                const std::vector<fdps::TargetGroup>& groups,
                                 std::vector<std::uint64_t>* wake_out = nullptr);
 
 /// Minimum CFL timestep over local gas: dt = cfl * (h/2) / vsig. Note the

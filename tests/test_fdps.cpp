@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -233,11 +234,47 @@ TEST(Tree, TargetGroupsPartitionAndRespectSize) {
     }
   }
   EXPECT_EQ(seen.size(), parts.size());
+
+  // h-aware gas grouping: still a partition of the gas (full-set and
+  // subset overloads) under the size cap, and no multi-member group spans
+  // more than kGasGroupExtentPerH times its smallest member support.
+  auto gas_parts = randomParticles(3000, 14);
+  Pcg32 rng(15);
+  std::vector<std::uint32_t> gas;
+  for (std::uint32_t i = 0; i < gas_parts.size(); ++i) {
+    gas_parts[i].h = std::exp(rng.uniform(std::log(2.0), std::log(60.0)));
+    if (gas_parts[i].isGas()) gas.push_back(i);
+  }
+  const auto checkGasGroups = [&](const std::vector<asura::fdps::TargetGroup>& gg) {
+    std::set<std::uint32_t> gas_seen;
+    for (const auto& g : gg) {
+      EXPECT_LE(g.indices.size(), 16u);
+      ASSERT_FALSE(g.indices.empty());
+      double h_min = gas_parts[g.indices[0]].h;
+      for (auto i : g.indices) {
+        EXPECT_TRUE(gas_parts[i].isGas());
+        EXPECT_TRUE(gas_seen.insert(i).second) << "duplicate index";
+        EXPECT_LE(g.bbox.distance(gas_parts[i].pos), 1e-12);
+        h_min = std::min(h_min, gas_parts[i].h);
+      }
+      if (g.indices.size() > 1) {
+        const Vec3d e = g.bbox.extent();
+        EXPECT_LE(std::max({e.x, e.y, e.z}), asura::fdps::kGasGroupExtentPerH * h_min);
+      }
+    }
+    EXPECT_EQ(gas_seen.size(), gas.size());
+    // The H rule splits runs the size cap alone would keep, but does not
+    // degenerate into singletons.
+    EXPECT_GT(gg.size(), (gas.size() + 15) / 16);
+    EXPECT_LT(gg.size(), gas.size());
+  };
+  checkGasGroups(asura::fdps::makeGasTargetGroups(gas_parts, 16));
+  checkGasGroups(asura::fdps::makeGasTargetGroups(gas_parts, gas, 16));
 }
 
 TEST(Tree, GasOnlyGroups) {
   const auto parts = randomParticles(300, 17);
-  const auto groups = asura::fdps::makeTargetGroups(parts, 32, /*gas_only=*/true);
+  const auto groups = asura::fdps::makeGasTargetGroups(parts, 32);
   std::size_t n_gas = 0;
   for (const auto& p : parts) n_gas += p.isGas() ? 1 : 0;
   std::size_t in_groups = 0;

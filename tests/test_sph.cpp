@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
+#include "fdps/context.hpp"
 #include "fdps/particle.hpp"
+#include "fdps/tree.hpp"
 #include "sph/eos.hpp"
 #include "sph/kernels.hpp"
 #include "sph/sph.hpp"
@@ -225,6 +230,139 @@ TEST(Density, RigidRotationCurl) {
     EXPECT_NEAR(p.divv, 0.0, 0.02);
     EXPECT_NEAR(p.curlv, 2.0 * omega.z, 0.05 * 2.0 * omega.z);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Grouping invariance of the neighbour search
+// ---------------------------------------------------------------------------
+
+/// A dense clump (H ~ 0.5) inside diffuse gas (H ~ 4): plain Morton runs
+/// straddle both phases, h-aware groups do not. The last `n_ghost`
+/// particles form a ghost suffix with held density-pass fields, and rungs
+/// are spread so the hydro pass emits limiter wake requests.
+std::vector<Particle> clumpInDiffuseGas(std::size_t n_ghost) {
+  Pcg32 rng(31);
+  std::vector<Particle> parts;
+  for (int i = 0; i < 2400; ++i) {
+    Particle p;
+    p.id = static_cast<std::uint64_t>(i) + 1;
+    p.type = Species::Gas;
+    p.mass = 1.0;
+    const bool clump = i % 3 == 0;
+    p.pos = clump ? Vec3d{rng.normal(), rng.normal(), rng.normal()}
+                  : Vec3d{rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0),
+                          rng.uniform(-20.0, 20.0)};
+    p.vel = {rng.normal(), rng.normal(), rng.normal()};
+    p.u = rng.uniform(0.5, 5.0);
+    p.u_pred = p.u;
+    p.h = clump ? 0.5 : 4.0;
+    p.rung = static_cast<std::uint8_t>(rng.uniform(0.0, 7.0));
+    parts.push_back(p);
+  }
+  for (std::size_t i = parts.size() - n_ghost; i < parts.size(); ++i) {
+    Particle& g = parts[i];
+    g.rho = asura::sph::densityFromSupport(g.mass, g.h, 40);
+    g.pres = asura::sph::pressure(g.rho, g.u);
+    g.cs = asura::sph::soundSpeed(g.u);
+    g.divv = 0.1 * rng.normal();
+    g.curlv = 0.1 * rng.uniform(0.0, 1.0);
+  }
+  return parts;
+}
+
+/// Outputs of one density + hydro evaluation, kept as raw bits so the
+/// comparison is exact (signed zeros and NaNs included).
+struct SphOutputs {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint64_t> wakes;
+  std::uint64_t density_interactions = 0, force_interactions = 0;
+  std::uint64_t candidates = 0;
+};
+
+SphOutputs collect(const std::vector<Particle>& parts, std::size_t n_local,
+                   const asura::sph::DensityStats& ds,
+                   const asura::sph::ForceStats& fs, std::vector<std::uint64_t> wakes) {
+  SphOutputs out;
+  for (std::size_t i = 0; i < n_local; ++i) {
+    const Particle& p = parts[i];
+    for (const double v : {p.h, p.rho, p.divv, p.curlv, p.pres, p.acc.x, p.acc.y,
+                           p.acc.z, p.du_dt, p.vsig}) {
+      out.bits.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+    out.bits.push_back(p.rung_ngb);
+  }
+  out.wakes = std::move(wakes);
+  out.density_interactions = ds.interactions;
+  out.force_interactions = fs.interactions;
+  out.candidates = ds.candidates + fs.candidates;
+  return out;
+}
+
+TEST(NeighbourSearch, ResultsAreGroupingInvariant) {
+  constexpr std::size_t kGhosts = 300;
+  const auto initial = clumpInDiffuseGas(kGhosts);
+  const std::size_t n_local = initial.size() - kGhosts;
+  std::vector<std::uint32_t> local_gas(n_local);
+  for (std::uint32_t i = 0; i < n_local; ++i) local_gas[i] = i;
+  SphParams sp;
+  sp.n_ngb = 40;
+
+  // Density + hydro with caller-chosen groups: `plain` Morton runs of
+  // group_size (the gravity grouping) or the h-aware gas groups.
+  const auto runGroups = [&](int group_size, bool plain) {
+    auto parts = initial;
+    asura::fdps::StepContext ctx;
+    const auto groups =
+        plain ? asura::fdps::makeTargetGroups(parts, local_gas, group_size)
+              : asura::fdps::makeGasTargetGroups(
+                    std::span<const Particle>(parts).subspan(0, n_local), group_size);
+    const auto ds = asura::sph::solveDensity(ctx, parts, sp, groups);
+    std::vector<std::uint64_t> wakes;
+    const auto fs = asura::sph::accumulateHydroForce(ctx, parts, sp, groups, &wakes);
+    return collect(parts, n_local, ds, fs, std::move(wakes));
+  };
+  // The production overloads: full set and active set (all local gas).
+  const auto runOverload = [&](int group_size, bool active) {
+    auto parts = initial;
+    asura::fdps::StepContext ctx;
+    SphParams p = sp;
+    p.group_size = group_size;
+    std::vector<std::uint64_t> wakes;
+    asura::sph::DensityStats ds;
+    asura::sph::ForceStats fs;
+    if (active) {
+      ds = asura::sph::solveDensity(ctx, parts, n_local, p, local_gas);
+      fs = asura::sph::accumulateHydroForce(ctx, parts, n_local, p, local_gas, &wakes);
+    } else {
+      ds = asura::sph::solveDensity(ctx, parts, n_local, p);
+      fs = asura::sph::accumulateHydroForce(ctx, parts, n_local, p, &wakes);
+    }
+    return collect(parts, n_local, ds, fs, std::move(wakes));
+  };
+
+  const SphOutputs ref = runGroups(1, /*plain=*/true);
+  ASSERT_GT(ref.force_interactions, 0u);
+  ASSERT_FALSE(ref.wakes.empty()) << "fixture must exercise the limiter";
+  const auto expectSame = [&](const SphOutputs& got, const char* what) {
+    EXPECT_TRUE(got.bits == ref.bits) << what << ": per-particle outputs differ";
+    EXPECT_TRUE(got.wakes == ref.wakes) << what << ": wake lists differ";
+    EXPECT_EQ(got.density_interactions, ref.density_interactions) << what;
+    EXPECT_EQ(got.force_interactions, ref.force_interactions) << what;
+  };
+  const SphOutputs plain8 = runGroups(8, true);
+  const SphOutputs plain64 = runGroups(64, true);
+  const SphOutputs aware64 = runGroups(64, false);
+  expectSame(plain8, "plain groups of 8");
+  expectSame(plain64, "plain groups of 64");
+  expectSame(runGroups(8, false), "h-aware groups of 8");
+  expectSame(aware64, "h-aware groups of 64");
+  for (const int gs : {1, 8, 64}) {
+    expectSame(runOverload(gs, /*active=*/false), "full-set overload");
+    expectSame(runOverload(gs, /*active=*/true), "active-set overload");
+  }
+  // What the h-aware groups buy: far fewer prefilter candidates for the
+  // same interactions once groups stop mixing clump and diffuse gas.
+  EXPECT_LT(2 * aware64.candidates, plain64.candidates);
 }
 
 // ---------------------------------------------------------------------------
