@@ -52,6 +52,12 @@ const SnapshotEntry* SnapshotRing::latest() const {
   return const_cast<SnapshotRing*>(this)->latest();
 }
 
+void SnapshotRing::retainLatest() {
+  std::vector<SnapshotEntry> kept;
+  if (SnapshotEntry* newest = latest()) kept.push_back(std::move(*newest));
+  slots_.swap(kept);
+}
+
 std::vector<long> SnapshotRing::validSteps() const {
   std::vector<long> steps;
   for (const auto& e : slots_) {

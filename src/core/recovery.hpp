@@ -65,6 +65,12 @@ class SnapshotRing {
   /// Steps of all valid entries, newest first.
   [[nodiscard]] std::vector<long> validSteps() const;
 
+  /// Keep only the newest valid entry, releasing every other slot's bytes
+  /// (all of them if none is valid). For rings nothing will push to or roll
+  /// back through again — an archived instance is only ever read through
+  /// latest(). pushes() and lastStep() are unchanged.
+  void retainLatest();
+
   [[nodiscard]] long lastStep() const { return last_step_; }
   [[nodiscard]] std::uint64_t pushes() const { return head_; }
   [[nodiscard]] int slots() const { return static_cast<int>(slots_.size()); }

@@ -113,26 +113,30 @@ std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
   const sph::Kernel kernel{};
   const int m = static_cast<int>(live.size());
 
-  // Stage 1: voxelize + encode each region (independent -> parallel).
-  std::vector<voxel::VoxelGrid> grids(live.size());
+  // Stage 1: voxelize + encode each region (independent -> parallel). Only
+  // a grid's origin outlives this stage (the decode needs it), and each
+  // encoding only until it is stacked: the batch's peak memory then holds
+  // one copy of the inputs beside the network's activations.
+  std::vector<Vec3d> origins(live.size());
   std::vector<ml::Tensor> enc(live.size());
 #pragma omp parallel for schedule(static)
   for (int j = 0; j < m; ++j) {
     const auto& rq = requests[live[static_cast<std::size_t>(j)]];
-    grids[static_cast<std::size_t>(j)] =
+    const voxel::VoxelGrid grid =
         voxel::depositParticles(rq.region, rq.sn_pos, box_size_, vparams_, kernel);
-    enc[static_cast<std::size_t>(j)] =
-        voxel::encodeGrid(grids[static_cast<std::size_t>(j)], vparams_);
+    origins[static_cast<std::size_t>(j)] = grid.origin;
+    enc[static_cast<std::size_t>(j)] = voxel::encodeGrid(grid, vparams_);
   }
 
   // Stage 2: stack along the batch dimension, ONE network forward.
-  const auto& s0 = enc[0].shape();  // (C, D, H, W)
+  const std::vector<int> s0 = enc[0].shape();  // (C, D, H, W)
   ml::Tensor x({m, s0[0], s0[1], s0[2], s0[3]});
   const std::size_t per = enc[0].numel();
   for (int j = 0; j < m; ++j) {
     std::copy(enc[static_cast<std::size_t>(j)].data(),
               enc[static_cast<std::size_t>(j)].data() + per,
               x.data() + static_cast<std::size_t>(j) * per);
+    enc[static_cast<std::size_t>(j)] = ml::Tensor();
   }
   auto y = net_.forward(x);
   for (std::size_t i = 0; i < y.numel(); ++i) y[i] += x[i];  // residual
@@ -148,8 +152,8 @@ std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
     std::copy(y.data() + static_cast<std::size_t>(j) * per,
               y.data() + static_cast<std::size_t>(j + 1) * per, slice.data());
     util::Pcg32 job_rng(seed_, jobStream(rq.region, rq.sn_pos));
-    const auto out_grid = voxel::decodeGrid(
-        slice, box_size_, grids[static_cast<std::size_t>(j)].origin, vparams_);
+    const auto out_grid =
+        voxel::decodeGrid(slice, box_size_, origins[static_cast<std::size_t>(j)], vparams_);
     out[i] = voxel::gridToParticles(out_grid, rq.region, vparams_, job_rng);
   }
   return out;

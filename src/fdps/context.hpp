@@ -66,9 +66,9 @@
 /// no per-group allocation. A ThreadArena must only ever be touched by the
 /// thread that owns the index — there is no internal locking.
 ///
-/// **SPH payload.** `sphPayload()` holds the per-pass neighbour payload in
-/// gas-tree entry order (see SphPayload). Each SPH pass refills it before
-/// its group loop, so it is never stale across passes.
+/// **SPH payload.** `sphPayload()` holds the per-pass neighbour payload, one
+/// SphPayload record per gas-tree entry in entry order. Each SPH pass
+/// refills it before its group loop, so it is never stale across passes.
 ///
 /// **Thread safety.** StepContext itself is NOT thread-safe: the accessor
 /// methods (gravityTree, gasTree, …Groups, refreshGasSmoothing,
@@ -104,14 +104,16 @@ struct ThreadArena {
   // SoA source staging, double precision (F64 gravity, SPH candidates).
   std::vector<double> sx, sy, sz, sm, se2;
 
-  // SPH candidate staging, filled once per group from the SphPayload: the
-  // support H for the hydro prefilter and the originating particle index
-  // for the self test. Candidate positions reuse sx/sy/sz.
+  // SPH candidate staging, filled once per group from the gas tree's SoA
+  // mirror and the SphPayload: positions (sx/sy/sz), the support H for the
+  // hydro sweep and the originating particle index for its self test.
   std::vector<double> qh;
   std::vector<std::uint32_t> qidx;
-  // Per-target scratch of the SPH passes: squared candidate distances and
-  // the compacted survivor slots (sized to the candidate count so the
-  // branchless compaction can store unconditionally).
+  // Per-target scratch of the SPH passes, sized to the candidate count plus
+  // the selection kernels' store slack: the density pass's short list
+  // (candidate slots within the search radius, `near`, with their squared
+  // distances, `r2`) and the final survivor slots (`sel`).
+  std::vector<std::uint32_t> near;
   std::vector<double> r2;
   std::vector<std::uint32_t> sel;
 
@@ -130,29 +132,35 @@ struct ThreadArena {
   std::vector<float> tx, ty, tz, te2;
   std::vector<double> tax, tay, taz, tpt;
 
-  // Per-target packed neighbour lists, index-gathered from the SphPayload
+  // Per-target packed neighbour lists, gathered from the SphPayload records
   // through the compacted `sel`, handed to the PIKG SPH kernels.
   std::vector<double> kx, ky, kz, km, kvx, kvy, kvz, khf, khh, khi, kh4, kp2,
       krho, kcs, kbal;
 };
 
-/// Per-pass SPH neighbour payload in gas-tree entry order: every j-quantity
-/// the density and hydro kernels read, computed once per gas entry at the
-/// start of a pass instead of once per (group, candidate) pair. The passes
-/// gather from it by entry index, so no kernel touches a ~272-byte Particle
-/// record or re-evaluates the EOS for a neighbour. Owned by the StepContext
-/// — never a function-level static — so concurrently hosted simulations
-/// each fill their own.
-struct SphPayload {
-  // Kinematics (density and hydro passes). Positions, masses and H come
-  // from the tree entries, the rest from the originating particle.
-  std::vector<double> x, y, z, m, vx, vy, vz;
-  std::vector<std::uint32_t> idx;  ///< originating index into the work array
-  // Hydro-only: support H and its derived forms, density, P/rho^2 and sound
-  // speed from the predicted u, the Balsara switch, and the rung.
-  std::vector<double> h, hh, hinv, h4, rho, p2, cs, bal;
-  std::vector<std::uint8_t> rung;
+/// One gas entry's SPH neighbour payload: every j-quantity the density and
+/// hydro kernels read, computed once per gas entry at the start of a pass
+/// instead of once per (group, candidate) pair. StepContext::sphPayload()
+/// holds one record per gas-tree entry, in entry order, so packing a
+/// survivor touches its two cache lines (the first alone in the density
+/// pass) instead of one line per field, and no kernel touches a ~272-byte
+/// Particle or re-evaluates the EOS for a neighbour. Owned by the
+/// StepContext — never a function-level static — so concurrently hosted
+/// simulations each fill their own.
+struct alignas(64) SphPayload {
+  // Line 1 (both passes): kinematics and identity. Position and mass come
+  // from the tree entry, velocity and rung from the originating particle.
+  double x = 0.0, y = 0.0, z = 0.0, m = 0.0;
+  double vx = 0.0, vy = 0.0, vz = 0.0;
+  std::uint32_t idx = 0;  ///< originating index into the work array
+  std::uint8_t rung = 0;
+  // Line 2 (hydro only): support H and its derived forms, density, P/rho^2
+  // and sound speed from the predicted u, and the Balsara switch.
+  alignas(64) double h = 0.0;
+  double hh = 0.0, hinv = 0.0, h4 = 0.0, rho = 0.0, p2 = 0.0, cs = 0.0, bal = 0.0;
 };
+
+static_assert(sizeof(SphPayload) == 128, "SphPayload must span exactly two cache lines");
 
 class StepContext {
  public:
@@ -301,9 +309,9 @@ class StepContext {
   [[nodiscard]] ThreadArena& arena(int tid) { return arenas_[static_cast<std::size_t>(tid)]; }
   [[nodiscard]] int numArenas() const { return static_cast<int>(arenas_.size()); }
 
-  /// The SPH passes' j-payload (filled by each pass's serial prologue,
-  /// read-only inside its parallel loop).
-  [[nodiscard]] SphPayload& sphPayload() { return sph_payload_; }
+  /// The SPH passes' j-payload, one record per gas-tree entry (filled by
+  /// each pass's prologue, read-only inside its group loop).
+  [[nodiscard]] std::vector<SphPayload>& sphPayload() { return sph_payload_; }
 
   /// Grow the arena pool to the current omp_get_max_threads(). Called from
   /// the serial prologue of every force pass so a later omp_set_num_threads
@@ -332,7 +340,7 @@ class StepContext {
   int gravity_leaf_ = 0, gas_leaf_ = 0, gravity_gs_ = 0, gas_gs_ = 0;
 
   std::vector<ThreadArena> arenas_;
-  SphPayload sph_payload_;
+  std::vector<SphPayload> sph_payload_;
 
   int builds_step_ = 0, refreshes_step_ = 0;
   std::uint64_t builds_total_ = 0, refreshes_total_ = 0;

@@ -225,7 +225,11 @@ void SourceTree::build(std::vector<SourceEntry> entries, int leaf_size) {
   nodes_.clear();
   keys_.clear();
   child_links_.clear();
-  if (entries_.empty()) return;
+  if (entries_.empty()) {
+    mirrorEntries();
+    mirrorNodes();
+    return;
+  }
 
   const Box cube = tightBox(entries_).boundingCube();
   const std::size_t n = entries_.size();
@@ -246,11 +250,47 @@ void SourceTree::build(std::vector<SourceEntry> entries, int leaf_size) {
                 });
   entries_.swap(entry_scratch_);
 
+  mirrorEntries();
+
   // Octree node count for leaf_size ~16 lands near 0.35 N on realistic data;
   // reserving half of N avoids reallocation copies during the build.
   nodes_.reserve(n / 2 + 64);
   buildTopology(std::max(leaf_size, 1));
   computeMoments();
+  mirrorNodes();
+}
+
+void SourceTree::mirrorNodes() {
+  const std::size_t n_links = child_links_.size();
+  link_soa_.resize(7 * n_links);
+  double* row = link_soa_.data();
+  for (std::size_t k = 0; k < n_links; ++k) {
+    const Node& c = nodes_[static_cast<std::size_t>(child_links_[k])];
+    row[k] = c.bbox.lo.x;
+    row[n_links + k] = c.bbox.lo.y;
+    row[2 * n_links + k] = c.bbox.lo.z;
+    row[3 * n_links + k] = c.bbox.hi.x;
+    row[4 * n_links + k] = c.bbox.hi.y;
+    row[5 * n_links + k] = c.bbox.hi.z;
+    row[6 * n_links + k] = c.max_h;
+  }
+}
+
+void SourceTree::mirrorEntries() {
+  const std::size_t n = entries_.size();
+  soa_x_.resize(n);
+  soa_y_.resize(n);
+  soa_z_.resize(n);
+  soa_h_.resize(n);
+  const auto n_entries = static_cast<std::int64_t>(n);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < n_entries; ++i) {
+    const auto e = static_cast<std::size_t>(i);
+    soa_x_[e] = entries_[e].pos.x;
+    soa_y_[e] = entries_[e].pos.y;
+    soa_z_[e] = entries_[e].pos.z;
+    soa_h_[e] = entries_[e].h;
+  }
 }
 
 // Octant split of a sorted key range: each octant is a contiguous subrange
@@ -479,6 +519,11 @@ void SourceTree::refreshPositions(std::span<const Particle> particles) {
     const Particle& p = particles[e.idx];
     e.pos = p.pos;
     e.h = p.isGas() ? p.h : 0.0;
+    const auto k = static_cast<std::size_t>(i);
+    soa_x_[k] = e.pos.x;
+    soa_y_[k] = e.pos.y;
+    soa_z_[k] = e.pos.z;
+    soa_h_[k] = e.h;
   }
   // Leaves rescan their (short) entry ranges in parallel; the internal nodes
   // then reduce over children in computeMoments' reverse bottom-up sweep.
@@ -489,6 +534,7 @@ void SourceTree::refreshPositions(std::span<const Particle> particles) {
     if (n.isLeaf()) leafMoments(n, entries_);
   }
   computeMoments();
+  mirrorNodes();
 }
 
 void SourceTree::refreshSmoothing(std::span<const Particle> particles) {
@@ -498,6 +544,7 @@ void SourceTree::refreshSmoothing(std::span<const Particle> particles) {
     SourceEntry& e = entries_[static_cast<std::size_t>(i)];
     if (e.isMultipole() || e.idx >= particles.size()) continue;
     e.h = particles[e.idx].h;
+    soa_h_[static_cast<std::size_t>(i)] = e.h;
   }
   // max_h only: leaves rescan their (short) entry ranges, internal nodes
   // reduce over children in the same reverse bottom-up sweep as the build.
@@ -523,6 +570,7 @@ void SourceTree::refreshSmoothing(std::span<const Particle> particles) {
     }
     n.max_h = maxh;
   }
+  mirrorNodes();
 }
 
 void SourceTree::gatherInteraction(const Box& target, double theta,
@@ -548,24 +596,51 @@ void SourceTree::gatherInteraction(const Box& target, double theta,
 }
 
 void SourceTree::gatherNeighbors(const Box& target, double gather_radius,
-                                 std::vector<std::uint32_t>& out) const {
-  if (nodes_.empty()) return;
-  WalkStack stack(0);
-  while (!stack.empty()) {
-    const Node& n = nodes_[static_cast<std::size_t>(stack.pop())];
-    const double reach = std::max(gather_radius, n.max_h);
-    if (target.distance(n.bbox) > reach) continue;
-    if (n.isLeaf()) {
-      for (std::uint32_t i = n.first; i < n.first + n.count; ++i) {
-        const SourceEntry& e = entries_[i];
-        if (target.distance(e.pos) <= std::max(gather_radius, e.h)) out.push_back(i);
+                                 std::vector<std::uint32_t>& out,
+                                 pikg::nbr::WalkTests tests) const {
+  // `out` is written through data() with the kernels' store slack, and only
+  // grows (zero-filling) past the previous call's list length.
+  std::size_t kept = 0;
+  const double box[6] = {target.lo.x, target.lo.y, target.lo.z,
+                         target.hi.x, target.hi.y, target.hi.z};
+  // The root is nobody's child: it takes the same node test as a one-lane
+  // SoA.
+  const bool root_open = [&] {
+    if (nodes_.empty()) return false;
+    const Node& root = nodes_[0];
+    const double r[7] = {root.bbox.lo.x, root.bbox.lo.y, root.bbox.lo.z, root.bbox.hi.x,
+                         root.bbox.hi.y, root.bbox.hi.z, root.max_h};
+    const pikg::nbr::NodeSoa one{&r[0], &r[1], &r[2], &r[3], &r[4], &r[5], &r[6]};
+    return (tests.open(one, 0, 1, box, gather_radius) & 1u) != 0;
+  }();
+  if (root_open) {
+    const std::size_t n_links = child_links_.size();
+    const double* row = link_soa_.data();
+    const pikg::nbr::NodeSoa links{row,               row + n_links,     row + 2 * n_links,
+                                   row + 3 * n_links, row + 4 * n_links, row + 5 * n_links,
+                                   row + 6 * n_links};
+    // Only opened nodes are pushed, children in link order, so the opened
+    // nodes pop in the order a push-all-then-test walk would visit them.
+    WalkStack stack(0);
+    while (!stack.empty()) {
+      const Node& n = nodes_[static_cast<std::size_t>(stack.pop())];
+      if (n.isLeaf()) {
+        const std::size_t need = kept + n.count + pikg::nbr::kSlack;
+        if (out.size() < need) out.resize(std::max(need, 2 * out.size()));
+        kept += tests.leaf(soa_x_.data() + n.first, soa_y_.data() + n.first,
+                           soa_z_.data() + n.first, soa_h_.data() + n.first, n.count, box,
+                           gather_radius, n.first, out.data() + kept);
+        continue;
       }
-      continue;
-    }
-    for (std::int32_t c = 0; c < n.n_children; ++c) {
-      stack.push(child_links_[static_cast<std::size_t>(n.first_child + c)]);
+      const auto first = static_cast<std::size_t>(n.first_child);
+      const auto n_children = static_cast<std::size_t>(n.n_children);
+      const unsigned open = tests.open(links, first, n_children, box, gather_radius);
+      for (std::size_t c = 0; c < n_children; ++c) {
+        if (((open >> c) & 1u) != 0) stack.push(child_links_[first + c]);
+      }
     }
   }
+  out.resize(kept);
 }
 
 void SourceTree::exportLet(const Box& remote_box, double theta,

@@ -24,6 +24,7 @@
 
 #include "fdps/box.hpp"
 #include "fdps/particle.hpp"
+#include "kernels/neighbour.hpp"
 
 namespace asura::fdps {
 
@@ -103,6 +104,11 @@ class SourceTree {
   void refreshPositions(std::span<const Particle> particles);
 
   [[nodiscard]] const std::vector<SourceEntry>& entries() const { return entries_; }
+  /// SoA mirror of the entry positions and supports, in entry order.
+  [[nodiscard]] const std::vector<double>& entryX() const { return soa_x_; }
+  [[nodiscard]] const std::vector<double>& entryY() const { return soa_y_; }
+  [[nodiscard]] const std::vector<double>& entryZ() const { return soa_z_; }
+  [[nodiscard]] const std::vector<double>& entryH() const { return soa_h_; }
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] double totalMass() const { return nodes_.empty() ? 0.0 : nodes_[0].mass; }
@@ -114,11 +120,18 @@ class SourceTree {
   void gatherInteraction(const Box& target, double theta, std::vector<std::uint32_t>& ep,
                          std::vector<Monopole>& sp) const;
 
-  /// Neighbour traversal: indices of entries within
-  /// max(gather_radius, entry-subtree max_h) of `target` (superset filter —
-  /// callers do the exact per-pair test).
+  /// Neighbour traversal: replaces `out` with the indices of the entries e
+  /// with Box::distance(target, e.pos) <= max(gather_radius, e.h), in walk
+  /// order (a superset filter — callers do the exact per-pair test). A node
+  /// is opened unless its box lies farther than max(gather_radius, node
+  /// max_h); `tests.open` decides that for all children of an opened node
+  /// at once over the per-link node mirror, and `tests.leaf` tests each
+  /// opened leaf's entries over the entry mirror. Every backend of
+  /// kernels/neighbour.hpp returns the same list; the SPH passes hand in
+  /// the one their SphParams::isa resolves to.
   void gatherNeighbors(const Box& target, double gather_radius,
-                       std::vector<std::uint32_t>& out) const;
+                       std::vector<std::uint32_t>& out,
+                       pikg::nbr::WalkTests tests = {}) const;
 
   /// LET export walk: emit monopole entries for subtrees satisfying the MAC
   /// with respect to a *remote domain box*, raw entries otherwise. When
@@ -140,8 +153,20 @@ class SourceTree {
   /// splice) build paths so their node layouts cannot diverge.
   void buildSubtree(std::int32_t root, int root_level, int leaf_size,
                     std::vector<Node>& nodes, std::vector<std::int32_t>& links) const;
+  /// Copy entry positions and supports into the SoA mirror.
+  void mirrorEntries();
+  /// Copy every linked node's box and max_h into the per-link mirror.
+  void mirrorNodes();
 
   std::vector<SourceEntry> entries_;
+  /// SoA mirror of entries_[i].pos and .h for the vectorized leaf test;
+  /// build() and both refreshes keep it in sync with entries_.
+  std::vector<double> soa_x_, soa_y_, soa_z_, soa_h_;
+  /// SoA mirror of the child nodes by link slot, 7 rows of
+  /// child_links_.size(): bbox lo x/y/z, hi x/y/z and max_h of
+  /// nodes_[child_links_[k]], so one node's children are contiguous lanes
+  /// for the vectorized node test. Kept in sync with every moment update.
+  std::vector<double> link_soa_;
   std::vector<std::uint64_t> keys_;  ///< Morton keys parallel to entries_
   std::vector<Node> nodes_;
   /// Child-node indices; Node::first_child indexes into this table because

@@ -31,17 +31,24 @@ bool cpuHasAvx2Fma() { return false; }
 #endif
 
 const KernelSet kSets[3] = {
-    {gen::grav_scalar, gen::dens_scalar, gen::hydro_scalar, Isa::Scalar, "scalar"},
-    {gen::grav_avx2, gen::dens_avx2, gen::hydro_avx2, Isa::Avx2, "avx2"},
-    {gen::grav_avx512, gen::dens_avx512, gen::hydro_avx512, Isa::Avx512, "avx512"},
+    {gen::grav_scalar, gen::dens_scalar, gen::hydro_scalar,
+     {nbr::openScalar, nbr::leafScalar}, nbr::nearScalar, nbr::keepScalar, nbr::pairScalar,
+     Isa::Scalar, "scalar"},
+    {gen::grav_avx2, gen::dens_avx2, gen::hydro_avx2, {nbr::openAvx2, nbr::leafAvx2},
+     nbr::nearAvx2, nbr::keepAvx2, nbr::pairAvx2, Isa::Avx2, "avx2"},
+    {gen::grav_avx512, gen::dens_avx512, gen::hydro_avx512,
+     {nbr::openAvx512, nbr::leafAvx512}, nbr::nearAvx512, nbr::keepAvx512, nbr::pairAvx512,
+     Isa::Avx512, "avx512"},
 };
 
 }  // namespace
 
 Isa bestIsa() {
   static const Isa best = [] {
-    if (gen::avx512Compiled() && cpuHasAvx512f()) return Isa::Avx512;
-    if (gen::avx2Compiled() && cpuHasAvx2Fma()) return Isa::Avx2;
+    if (gen::avx512Compiled() && nbr::avx512Compiled() && cpuHasAvx512f()) {
+      return Isa::Avx512;
+    }
+    if (gen::avx2Compiled() && nbr::avx2Compiled() && cpuHasAvx2Fma()) return Isa::Avx2;
     return Isa::Scalar;
   }();
   return best;

@@ -16,10 +16,16 @@
 ///     SphParams::isa so a run can pin a backend (conformance tests,
 ///     benchmarks) or leave Auto in production.
 ///
+/// A set carries the generated pair kernels and the hand-written SPH
+/// neighbour selection of the same ISA (kernels/neighbour.hpp: the walk's
+/// node and leaf tests and the per-target survivor sweeps), so one request
+/// pins the whole SPH pipeline.
+///
 /// The generated scalar backend is always available and is the portable
 /// fallback; GravityParams::Kernel::ScalarF64 remains the hand-written
 /// double-precision conformance reference outside this registry.
 
+#include "kernels/neighbour.hpp"
 #include "pikg/isa.hpp"
 #include "pikg_kernels.hpp"
 
@@ -30,6 +36,10 @@ struct KernelSet {
   gen::GravFn grav = nullptr;    ///< mixed-F32 gravity group kernel
   gen::DensFn dens = nullptr;    ///< SPH density kernel sums (f64)
   gen::HydroFn hydro = nullptr;  ///< SPH hydro pair force (f64)
+  nbr::WalkTests walk;           ///< SPH tree-walk node and leaf tests
+  nbr::NearFn near = nullptr;    ///< density pass: candidates within the search
+  nbr::KeepFn keep = nullptr;    ///< density pass: final selection from those
+  nbr::PairFn pair = nullptr;    ///< hydro pass: interacting pairs
   Isa isa = Isa::Scalar;         ///< the backend these pointers belong to
   const char* name = "scalar";
 };

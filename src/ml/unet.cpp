@@ -70,25 +70,37 @@ Tensor UNet3D::forward(const Tensor& x) {
   // overrunning inference aborts here with util::DeadlineExceeded instead
   // of holding its worker thread to completion.
   util::checkJobDeadline();
+  // Each layer's output replaces its input as soon as it exists, and a skip
+  // tensor is dropped once concatenated: a nested call chain would keep every
+  // intermediate of a stage alive to the end of its full expression, which
+  // a batched inference pays per sample in peak memory.
+  const auto through = [](Tensor& t, auto&... layers) { ((t = layers.forward(t)), ...); };
   // Encoder stage 1.
-  Tensor e1 = r_e1b_.forward(e1b_.forward(r_e1a_.forward(e1a_.forward(x))));
+  Tensor e1 = e1a_.forward(x);
+  through(e1, r_e1a_, e1b_, r_e1b_);
   if (!inferenceMode()) e1_channels_ = channelDim(e1);
   util::checkJobDeadline();
   // Encoder stage 2.
-  Tensor e2 = r_e2b_.forward(e2b_.forward(r_e2a_.forward(e2a_.forward(pool1_.forward(e1)))));
+  Tensor e2 = pool1_.forward(e1);
+  through(e2, e2a_, r_e2a_, e2b_, r_e2b_);
   if (!inferenceMode()) e2_channels_ = channelDim(e2);
   util::checkJobDeadline();
   // Bottleneck.
-  Tensor bt = r_bb_.forward(bb_.forward(r_ba_.forward(ba_.forward(pool2_.forward(e2)))));
+  Tensor t = pool2_.forward(e2);
+  through(t, ba_, r_ba_, bb_, r_bb_);
   util::checkJobDeadline();
   // Decoder stage 2 (skip from e2).
-  Tensor d2 = r_d2b_.forward(
-      d2b_.forward(r_d2a_.forward(d2a_.forward(concatChannels(up2_.forward(bt), e2)))));
+  through(t, up2_);
+  t = concatChannels(t, e2);
+  e2 = Tensor();
+  through(t, d2a_, r_d2a_, d2b_, r_d2b_);
   util::checkJobDeadline();
   // Decoder stage 1 (skip from e1).
-  Tensor d1 = r_d1b_.forward(
-      d1b_.forward(r_d1a_.forward(d1a_.forward(concatChannels(up1_.forward(d2), e1)))));
-  return out_.forward(d1);
+  through(t, up1_);
+  t = concatChannels(t, e1);
+  e1 = Tensor();
+  through(t, d1a_, r_d1a_, d1b_, r_d1b_, out_);
+  return t;
 }
 
 void UNet3D::backward(const Tensor& gy) {

@@ -121,6 +121,7 @@ struct ScenarioService::Instance {
   std::string pub_last_error;
   long pub_snapshots = 0;
   long pub_snapshot_step = -1;
+  int pub_snapshots_held = 0;
 
   std::vector<std::pair<std::uint64_t, SnapshotSubscriber>> subscribers;
   std::function<void(core::Simulation&, long)> hook;
@@ -150,6 +151,9 @@ struct ScenarioService::Instance {
     pub_last_error = last_error;
     pub_snapshots = static_cast<long>(ring.pushes());
     pub_snapshot_step = ring.lastStep();
+    pub_snapshots_held = static_cast<int>(
+        std::count_if(ring.entries().begin(), ring.entries().end(),
+                      [](const core::SnapshotEntry& e) { return e.valid; }));
   }
 };
 
@@ -680,11 +684,13 @@ void ScenarioService::archive(InstanceId id, const std::string& checkpoint_path)
     }
     {
       std::lock_guard<std::mutex> g(mu_);
+      // Release every ring slot but the newest and the live Simulation
+      // (particles, pool threads): no transition leaves Archived, so only
+      // latest() is read again (clones, late subscribers, latestSnapshot).
+      inst->ring.retainLatest();
       inst->publish();
       inst->state = InstanceState::Archived;
       inst->interrupt.store(false, std::memory_order_relaxed);
-      // Release the live Simulation (particles, pool threads); the final
-      // ring snapshot stays behind for clones and late subscribers.
       inst->sim.reset();
       run_queue_.erase(std::remove(run_queue_.begin(), run_queue_.end(), id),
                        run_queue_.end());
@@ -856,6 +862,7 @@ InstanceInfo ScenarioService::info(InstanceId id) {
     out.heartbeats = inst.hb.beats.load(std::memory_order_relaxed);
     out.snapshots = inst.pub_snapshots;
     out.snapshot_step = inst.pub_snapshot_step;
+    out.snapshots_held = inst.pub_snapshots_held;
   });
   return out;
 }

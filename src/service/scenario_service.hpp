@@ -130,6 +130,7 @@ struct InstanceInfo {
   // --- snapshot stream ---
   long snapshots = 0;         ///< ring pushes so far
   long snapshot_step = -1;    ///< step of the newest ring entry
+  int snapshots_held = 0;     ///< valid snapshots the ring keeps in memory
 };
 
 /// One streamed state snapshot: the exact serializeState byte blob the

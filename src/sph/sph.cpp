@@ -27,43 +27,44 @@ pikg::gen::SphKernelTables sphTablesFor(const SphParams& params) {
   return pikg::gen::sphTables(params.kernel.type == KernelType::WendlandC2 ? 1 : 0);
 }
 
+/// Grow-only resize: per-thread scratch keeps its high-water size, so
+/// steady-state groups neither allocate nor zero-fill.
+template <class T>
+void fit(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+}
+
 /// Refill the per-pass j-payload from the gas tree's entries (serial
 /// prologue of each pass; the loop itself is parallel over entries). The
-/// density pass needs only the kinematics; the hydro pass adds the
-/// thermodynamic block. Each value is a pure function of one entry, so
-/// where it is computed cannot change a kernel input.
-void fillPayload(fdps::SphPayload& pl, const SourceTree& tree,
+/// density pass needs only the first cache line of each record; the hydro
+/// pass adds the thermodynamic second line. Each value is a pure function
+/// of one entry, so where it is computed cannot change a kernel input.
+void fillPayload(std::vector<fdps::SphPayload>& pl, const SourceTree& tree,
                  std::span<const Particle> work, bool hydro) {
   const auto& entries = tree.entries();
-  const std::size_t n = entries.size();
-  pl.x.resize(n); pl.y.resize(n); pl.z.resize(n); pl.m.resize(n);
-  pl.vx.resize(n); pl.vy.resize(n); pl.vz.resize(n);
-  pl.idx.resize(n);
-  if (hydro) {
-    pl.h.resize(n); pl.hh.resize(n); pl.hinv.resize(n); pl.h4.resize(n);
-    pl.rho.resize(n); pl.p2.resize(n); pl.cs.resize(n); pl.bal.resize(n);
-    pl.rung.resize(n);
-  }
-  const auto n_entries = static_cast<std::int64_t>(n);
+  pl.resize(entries.size());
+  const auto n_entries = static_cast<std::int64_t>(entries.size());
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < n_entries; ++i) {
     const auto e = static_cast<std::size_t>(i);
     const SourceEntry& s = entries[e];
     const Particle& q = work[s.idx];
-    pl.x[e] = s.pos.x; pl.y[e] = s.pos.y; pl.z[e] = s.pos.z;
-    pl.m[e] = s.mass;
-    pl.vx[e] = q.vel.x; pl.vy[e] = q.vel.y; pl.vz[e] = q.vel.z;
-    pl.idx[e] = s.idx;
+    fdps::SphPayload& r = pl[e];
+    r.x = s.pos.x; r.y = s.pos.y; r.z = s.pos.z;
+    r.m = s.mass;
+    r.vx = q.vel.x; r.vy = q.vel.y; r.vz = q.vel.z;
+    r.idx = s.idx;
+    r.rung = q.rung;
     if (!hydro) continue;
     // Supports come from the tree entry (the refreshed, converged H).
     const double Hj = s.h;
     const double hj = 0.5 * Hj;
     const double hinv_j = 1.0 / Hj;
     const double hinv2_j = hinv_j * hinv_j;
-    pl.h[e] = Hj;
-    pl.hh[e] = hj;
-    pl.hinv[e] = hinv_j;
-    pl.h4[e] = hinv2_j * hinv2_j;
+    r.h = Hj;
+    r.hh = hj;
+    r.hinv = hinv_j;
+    r.h4 = hinv2_j * hinv2_j;
     // Thermodynamics from the *predicted* u: for an active neighbour
     // u_pred == u and this reproduces q.pres/q.cs exactly (same EOS, same
     // inputs); for an inactive one it is the drift-advanced estimate at the
@@ -73,12 +74,46 @@ void fillPayload(fdps::SphPayload& pl, const SourceTree& tree,
     // SPH conservation leans on and measurably worsen blastwave drift.)
     const double pres = pressure(q.rho, q.u_pred);
     const double cj = soundSpeed(q.u_pred);
-    pl.rho[e] = q.rho;
-    pl.p2[e] = pres / (q.rho * q.rho);
-    pl.cs[e] = cj;
-    pl.bal[e] = std::abs(q.divv) /
-                (std::abs(q.divv) + q.curlv + 1e-4 * cj / std::max(hj, 1e-30));
-    pl.rung[e] = q.rung;
+    r.rho = q.rho;
+    r.p2 = pres / (q.rho * q.rho);
+    r.cs = cj;
+    r.bal = std::abs(q.divv) /
+            (std::abs(q.divv) + q.curlv + 1e-4 * cj / std::max(hj, 1e-30));
+  }
+}
+
+/// One group-shared neighbour walk: fills a.idx with the candidate entries
+/// and stages their positions (and, for the hydro sweep, support and
+/// originating index) into contiguous SoA, with room for the selection
+/// kernels' store slack in the per-target outputs.
+void gatherCandidates(fdps::ThreadArena& a, const SourceTree& tree,
+                      const std::vector<fdps::SphPayload>& pl, const TargetGroup& grp,
+                      double radius, const pikg::KernelSet& kset, bool hydro,
+                      double& walk_s) {
+  const double tw = util::wtime();
+  tree.gatherNeighbors(grp.bbox, radius, a.idx, kset.walk);
+  walk_s += util::wtime() - tw;
+  const std::size_t nc = a.idx.size();
+  fit(a.sx, nc); fit(a.sy, nc); fit(a.sz, nc);
+  fit(a.sel, nc + pikg::nbr::kSlack);
+  const double* ex = tree.entryX().data();
+  const double* ey = tree.entryY().data();
+  const double* ez = tree.entryZ().data();
+  for (std::size_t j = 0; j < nc; ++j) {
+    const std::uint32_t e = a.idx[j];
+    a.sx[j] = ex[e]; a.sy[j] = ey[e]; a.sz[j] = ez[e];
+  }
+  if (!hydro) {
+    fit(a.near, nc + pikg::nbr::kSlack);
+    fit(a.r2, nc + pikg::nbr::kSlack);
+    return;
+  }
+  fit(a.qh, nc); fit(a.qidx, nc);
+  const double* eh = tree.entryH().data();
+  for (std::size_t j = 0; j < nc; ++j) {
+    const std::uint32_t e = a.idx[j];
+    a.qh[j] = eh[e];
+    a.qidx[j] = pl[e].idx;
   }
 }
 
@@ -88,9 +123,10 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
                        const std::vector<TargetGroup>& groups,
                        std::span<Particle> work, const SphParams& params,
                        DensityStats& stats) {
-  const fdps::SphPayload& pl = ctx.sphPayload();
-  // Kernel sums run through the PIKG-generated backend for the requested
-  // ISA (resolved once per pass; all threads run the same backend).
+  const std::vector<fdps::SphPayload>& pl = ctx.sphPayload();
+  // Walk tests, candidate sweep, selection and kernel sums all run through
+  // the backend for the requested ISA (resolved once per pass; all threads
+  // run the same backend).
   const pikg::KernelSet& kset = pikg::kernels(params.isa);
   const pikg::gen::SphKernelTables tabs = sphTablesFor(params);
   int max_iter = 0;
@@ -111,23 +147,12 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
       // Group-shared candidate gather: one tree walk with the group's
       // maximum support (+30% closure margin) serves every member, and the
       // candidate positions are staged into SoA once per (group, radius).
-      // The closure counts by a vectorized compare over squared distances,
-      // so a regather only happens when some member's H outgrows the shared
+      // A regather only happens when some member's H outgrows the shared
       // radius.
       double search = 0.0;
       auto gatherGroup = [&](double radius) {
         search = radius;
-        const double tw = util::wtime();
-        a.idx.clear();
-        tree.gatherNeighbors(grp.bbox, search, a.idx);
-        walk_s += util::wtime() - tw;
-        const std::size_t nc = a.idx.size();
-        a.sx.resize(nc); a.sy.resize(nc); a.sz.resize(nc);
-        a.r2.resize(nc); a.sel.resize(nc);
-        for (std::size_t j = 0; j < nc; ++j) {
-          const std::uint32_t e = a.idx[j];
-          a.sx[j] = pl.x[e]; a.sy[j] = pl.y[e]; a.sz[j] = pl.z[e];
-        }
+        gatherCandidates(a, tree, pl, grp, search, kset, /*hydro=*/false, walk_s);
       };
       double group_h = 0.0;
       for (const auto pi : grp.indices) group_h = std::max(group_h, work[pi].h);
@@ -137,29 +162,31 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
         Particle& p = work[pi];
         const double px = p.pos.x, py = p.pos.y, pz = p.pos.z;
 
-        // Per-particle squared distances over the shared SoA. Counts are
-        // exact for any H <= search: every source within `search` of the
-        // group box (hence of any member) is staged.
+        // One fused sweep per (target, candidate set): the candidates
+        // within `search` of the target, in candidate order, with their
+        // squared distances. Every count and selection below uses a support
+        // H <= search, whose cut H(1 - 1e-15) is at most search's, so the
+        // short list holds every candidate any of them can keep.
+        // Each closure count *is* the selection for its H: a.sel holds the
+        // candidate slots within H of the target, and sel_h names the H it
+        // was taken for (NaN: stale), so the converged count usually leaves
+        // the final survivor list already in place.
+        std::size_t n_near = 0, nsel = 0;
+        double sel_h = std::numeric_limits<double>::quiet_NaN();
         auto distances = [&] {
           const std::size_t nc = a.idx.size();
           candidates += nc;
-#pragma omp simd
-          for (std::size_t j = 0; j < nc; ++j) {
-            const double dx = px - a.sx[j];
-            const double dy = py - a.sy[j];
-            const double dz = pz - a.sz[j];
-            a.r2[j] = dx * dx + dy * dy + dz * dz;
-          }
+          const double cut = search * (1.0 - 1e-15);
+          n_near = kset.near(px, py, pz, a.sx.data(), a.sy.data(), a.sz.data(), nc,
+                             cut * cut, a.near.data(), a.r2.data());
+          sel_h = std::numeric_limits<double>::quiet_NaN();
         };
         distances();
-        auto countWithin = [&](double radius) {
+        auto selectWithin = [&](double radius) {
           const double cut = radius * (1.0 - 1e-15);
-          const double cut2 = cut * cut;
-          const std::size_t nc = a.idx.size();
-          int c = 0;
-#pragma omp simd reduction(+ : c)
-          for (std::size_t j = 0; j < nc; ++j) c += a.r2[j] <= cut2 ? 1 : 0;
-          return c;
+          nsel = kset.keep(a.r2.data(), a.near.data(), n_near, cut * cut, a.sel.data());
+          sel_h = radius;
+          return static_cast<int>(nsel);
         };
 
         // Neighbour-count closure solved on counts of N(H) = #{r < H}: the
@@ -177,7 +204,7 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
             gatherGroup(1.3 * H);
             distances();
           }
-          const int cnt = countWithin(H);
+          const int cnt = selectWithin(H);
           if (std::abs(cnt - params.n_ngb) <= tol) break;
           if (cnt > params.n_ngb) {
             hi = H;
@@ -209,31 +236,22 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
         }
         max_iter = std::max(max_iter, it + 1);
 
-        // Final gather statistics with the converged support: compact the
-        // survivors branch-free (candidate order is kept, so the kernel sums
-        // run in the tree's traversal order whatever the grouping), gather
-        // their payload, then one PIKG density call.
+        // Final gather statistics with the converged support: the survivors
+        // from the short list (candidate order is kept, so the kernel sums
+        // run in the tree's traversal order whatever the grouping), their
+        // packed payload records, then one PIKG density call.
         if (H > search) {
           gatherGroup(1.3 * H);
           distances();
         }
-        const double cut = H * (1.0 - 1e-15);
-        const double cut2 = cut * cut;
-        const std::size_t nc = a.idx.size();
-        std::size_t nsel = 0;
-        for (std::size_t j = 0; j < nc; ++j) {
-          a.sel[nsel] = static_cast<std::uint32_t>(j);
-          nsel += a.r2[j] <= cut2 ? 1 : 0;
-        }
-        a.kx.resize(nsel); a.ky.resize(nsel); a.kz.resize(nsel);
-        a.km.resize(nsel);
-        a.kvx.resize(nsel); a.kvy.resize(nsel); a.kvz.resize(nsel);
+        if (!(sel_h == H)) selectWithin(H);
+        fit(a.kx, nsel); fit(a.ky, nsel); fit(a.kz, nsel); fit(a.km, nsel);
+        fit(a.kvx, nsel); fit(a.kvy, nsel); fit(a.kvz, nsel);
         for (std::size_t t = 0; t < nsel; ++t) {
-          const std::size_t j = a.sel[t];
-          const std::uint32_t e = a.idx[j];
-          a.kx[t] = a.sx[j]; a.ky[t] = a.sy[j]; a.kz[t] = a.sz[j];
-          a.km[t] = pl.m[e];
-          a.kvx[t] = pl.vx[e]; a.kvy[t] = pl.vy[e]; a.kvz[t] = pl.vz[e];
+          const fdps::SphPayload& r = pl[a.idx[a.sel[t]]];
+          a.kx[t] = r.x; a.ky[t] = r.y; a.kz[t] = r.z;
+          a.km[t] = r.m;
+          a.kvx[t] = r.vx; a.kvy[t] = r.vy; a.kvz[t] = r.vz;
         }
         const double pvx = p.vel.x, pvy = p.vel.y, pvz = p.vel.z;
         const double hinv = 1.0 / H;
@@ -281,9 +299,9 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
                      const std::vector<TargetGroup>& groups,
                      std::span<Particle> work, const SphParams& params,
                      ForceStats& stats, std::vector<std::uint64_t>* wake_out) {
-  const fdps::SphPayload& pl = ctx.sphPayload();
-  // Pair math runs through the PIKG-generated backend; the host keeps the
-  // prefilter, neighbour selection, and limiter bookkeeping.
+  const std::vector<fdps::SphPayload>& pl = ctx.sphPayload();
+  // Walk, pair selection and pair math run through the backend for the
+  // requested ISA; the host keeps the limiter bookkeeping.
   const pikg::KernelSet& kset = pikg::kernels(params.isa);
   const pikg::gen::SphKernelTables tabs = sphTablesFor(params);
   std::uint64_t interactions = 0, candidates = 0;
@@ -300,27 +318,14 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const auto& grp = groups[g];
       // Group-level candidate gather: radius = max support in the group;
-      // scatter side handled by the tree's per-node max_h.
+      // scatter side handled by the tree's per-node max_h. Staged once per
+      // group: position, H and particle index for the pair sweep.
       double group_h = 0.0;
       for (const auto pi : grp.indices) group_h = std::max(group_h, work[pi].h);
-      const double tw = util::wtime();
-      a.idx.clear();
-      tree.gatherNeighbors(grp.bbox, group_h, a.idx);
-      walk_s += util::wtime() - tw;
-
-      const double tk = util::wtime();
-      // Stage what the prefilter reads (position, H, particle index) into
-      // SoA once per group; survivors gather the rest from the payload.
+      const double tg0 = util::wtime();
+      const double walk_at_g0 = walk_s;
+      gatherCandidates(a, tree, pl, grp, group_h, kset, /*hydro=*/true, walk_s);
       const std::size_t nc = a.idx.size();
-      a.sx.resize(nc); a.sy.resize(nc); a.sz.resize(nc);
-      a.qh.resize(nc); a.qidx.resize(nc);
-      a.r2.resize(nc); a.sel.resize(nc);
-      for (std::size_t j = 0; j < nc; ++j) {
-        const std::uint32_t e = a.idx[j];
-        a.sx[j] = pl.x[e]; a.sy[j] = pl.y[e]; a.sz[j] = pl.z[e];
-        a.qh[j] = pl.h[e];
-        a.qidx[j] = pl.idx[e];
-      }
 
       for (const auto pi : grp.indices) {
         Particle& p = work[pi];
@@ -332,51 +337,36 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
             std::abs(p.divv) /
             (std::abs(p.divv) + p.curlv + 1e-4 * ci / std::max(hi, 1e-30));
 
-        // Vectorized distance prefilter ...
+        // One fused sweep selects the true neighbours (r < max(Hi, Hj),
+        // r > 0, not self), kept in candidate order.
         const double px = p.pos.x, py = p.pos.y, pz = p.pos.z;
         candidates += nc;
-#pragma omp simd
-        for (std::size_t j = 0; j < nc; ++j) {
-          const double dx = px - a.sx[j];
-          const double dy = py - a.sy[j];
-          const double dz = pz - a.sz[j];
-          a.r2[j] = dx * dx + dy * dy + dz * dz;
-        }
-        // ... then a branch-free compaction of the true neighbours
-        // (r < max(Hi, Hj), not self), kept in candidate order.
-        std::size_t nsel = 0;
-        for (std::size_t j = 0; j < nc; ++j) {
-          const double rmax = std::max(Hi, a.qh[j]);
-          a.sel[nsel] = static_cast<std::uint32_t>(j);
-          nsel += static_cast<std::size_t>((a.r2[j] < rmax * rmax) & (a.r2[j] > 0.0) &
-                                           (a.qidx[j] != pi));
-        }
+        const std::size_t nsel =
+            kset.pair(px, py, pz, Hi, pi, a.sx.data(), a.sy.data(), a.sz.data(),
+                      a.qh.data(), a.qidx.data(), nc, a.sel.data());
 
-        // Pack the selected neighbours' payload into contiguous SoA for the
-        // PIKG pair kernel, with the timestep-limiter bookkeeping riding
-        // along: deepest neighbour rung, plus wake requests for pairs
+        // Pack the selected neighbours' payload records into contiguous SoA
+        // for the PIKG pair kernel, with the timestep-limiter bookkeeping
+        // riding along: deepest neighbour rung, plus wake requests for pairs
         // lagging this (active) target by more than the allowed gap.
-        a.kx.resize(nsel); a.ky.resize(nsel); a.kz.resize(nsel);
-        a.km.resize(nsel);
-        a.kvx.resize(nsel); a.kvy.resize(nsel); a.kvz.resize(nsel);
-        a.khf.resize(nsel); a.khh.resize(nsel); a.khi.resize(nsel);
-        a.kh4.resize(nsel); a.kp2.resize(nsel); a.krho.resize(nsel);
-        a.kcs.resize(nsel); a.kbal.resize(nsel);
+        fit(a.kx, nsel); fit(a.ky, nsel); fit(a.kz, nsel); fit(a.km, nsel);
+        fit(a.kvx, nsel); fit(a.kvy, nsel); fit(a.kvz, nsel);
+        fit(a.khf, nsel); fit(a.khh, nsel); fit(a.khi, nsel); fit(a.kh4, nsel);
+        fit(a.kp2, nsel); fit(a.krho, nsel); fit(a.kcs, nsel); fit(a.kbal, nsel);
         int rung_ngb = 0;
         const int rung_i = static_cast<int>(p.rung);
         for (std::size_t t = 0; t < nsel; ++t) {
-          const std::size_t j = a.sel[t];
-          const std::uint32_t e = a.idx[j];
-          a.kx[t] = a.sx[j]; a.ky[t] = a.sy[j]; a.kz[t] = a.sz[j];
-          a.km[t] = pl.m[e];
-          a.kvx[t] = pl.vx[e]; a.kvy[t] = pl.vy[e]; a.kvz[t] = pl.vz[e];
-          a.khf[t] = a.qh[j]; a.khh[t] = pl.hh[e]; a.khi[t] = pl.hinv[e];
-          a.kh4[t] = pl.h4[e]; a.kp2[t] = pl.p2[e]; a.krho[t] = pl.rho[e];
-          a.kcs[t] = pl.cs[e]; a.kbal[t] = pl.bal[e];
-          const int rung_j = static_cast<int>(pl.rung[e]);
+          const fdps::SphPayload& r = pl[a.idx[a.sel[t]]];
+          a.kx[t] = r.x; a.ky[t] = r.y; a.kz[t] = r.z;
+          a.km[t] = r.m;
+          a.kvx[t] = r.vx; a.kvy[t] = r.vy; a.kvz[t] = r.vz;
+          a.khf[t] = r.h; a.khh[t] = r.hh; a.khi[t] = r.hinv;
+          a.kh4[t] = r.h4; a.kp2[t] = r.p2; a.krho[t] = r.rho;
+          a.kcs[t] = r.cs; a.kbal[t] = r.bal;
+          const int rung_j = static_cast<int>(r.rung);
           rung_ngb = std::max(rung_ngb, rung_j);
           if (wake_out != nullptr && rung_i - rung_j > kLimiterGap) {
-            a.wake.push_back(packWake(pi, a.qidx[j]));
+            a.wake.push_back(packWake(pi, r.idx));
           }
         }
         interactions += nsel;
@@ -406,7 +396,7 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
         // free — no separate full-particle cflTimestep sweep needed.
         if (vsig > 0.0) dt_cfl = std::min(dt_cfl, params.cfl * 0.5 * Hi / vsig);
       }
-      kernel_s += util::wtime() - tk;
+      kernel_s += util::wtime() - tg0 - (walk_s - walk_at_g0);
     }
   }
 

@@ -722,4 +722,42 @@ TEST(ServiceArchive, WritesRestorableCheckpointAndStaysClonable) {
   std::remove(path.c_str());
 }
 
+TEST(ServiceArchive, KeepsOnlyNewestSnapshotAndClonesBitwise) {
+  const SimulationConfig cfg = quietConfig();
+  ServiceConfig scfg;
+  scfg.n_workers = 2;
+  scfg.snapshot_interval = 4;
+  ScenarioService svc(scfg);
+
+  const InstanceId id = svc.create({"arch", instanceIc(6), cfg, nullptr});
+  svc.start(id, 10);
+  svc.waitIdle();
+  const InstanceInfo live = svc.info(id);
+  EXPECT_EQ(live.snapshots_held, scfg.ring_slots);
+  const InstanceId before = svc.clone(id, "before");
+
+  svc.archive(id);
+  const InstanceInfo parked = svc.info(id);
+  EXPECT_EQ(parked.state, InstanceState::Archived);
+  EXPECT_EQ(parked.snapshots_held, 1);
+  EXPECT_EQ(parked.snapshots, live.snapshots);
+  EXPECT_EQ(parked.snapshot_step, 10);
+  EXPECT_EQ(svc.latestSnapshot(id).step, 10);
+
+  // The one snapshot left is the newest: a clone taken now is the clone
+  // taken before archive, byte for byte, and so is its continuation.
+  const InstanceId after = svc.clone(id, "after");
+  const Snapshot sb = svc.latestSnapshot(before);
+  const Snapshot sa = svc.latestSnapshot(after);
+  ASSERT_TRUE(sb.bytes);
+  ASSERT_TRUE(sa.bytes);
+  EXPECT_EQ(sa.step, 10);
+  EXPECT_EQ(*sa.bytes, *sb.bytes);
+  svc.start(before, 14);
+  svc.start(after, 14);
+  svc.waitIdle();
+  EXPECT_EQ(*svc.latestSnapshot(after).bytes, *svc.latestSnapshot(before).bytes);
+  EXPECT_EQ(*svc.latestSnapshot(after).bytes, soloBytes(instanceIc(6), cfg, 14));
+}
+
 }  // namespace

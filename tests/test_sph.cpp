@@ -13,6 +13,7 @@
 #include "fdps/context.hpp"
 #include "fdps/particle.hpp"
 #include "fdps/tree.hpp"
+#include "kernels/registry.hpp"
 #include "sph/eos.hpp"
 #include "sph/kernels.hpp"
 #include "sph/sph.hpp"
@@ -304,65 +305,85 @@ TEST(NeighbourSearch, ResultsAreGroupingInvariant) {
   const std::size_t n_local = initial.size() - kGhosts;
   std::vector<std::uint32_t> local_gas(n_local);
   for (std::uint32_t i = 0; i < n_local; ++i) local_gas[i] = i;
-  SphParams sp;
-  sp.n_ngb = 40;
+  // Every runnable backend (walk leaf test, survivor selection and pair
+  // kernels) pinned in turn: grouping invariance must hold for each, and
+  // the selection is exact, so every backend scans and keeps the same
+  // pairs.
+  std::vector<asura::pikg::Isa> isas{asura::pikg::Isa::Scalar};
+  const auto best = asura::pikg::bestIsa();
+  if (best >= asura::pikg::Isa::Avx2) isas.push_back(asura::pikg::Isa::Avx2);
+  if (best >= asura::pikg::Isa::Avx512) isas.push_back(asura::pikg::Isa::Avx512);
+  std::vector<SphOutputs> per_isa;
+  for (const auto isa : isas) {
+    SCOPED_TRACE(asura::pikg::isaName(isa));
+    SphParams sp;
+    sp.n_ngb = 40;
+    sp.isa = isa;
 
-  // Density + hydro with caller-chosen groups: `plain` Morton runs of
-  // group_size (the gravity grouping) or the h-aware gas groups.
-  const auto runGroups = [&](int group_size, bool plain) {
-    auto parts = initial;
-    asura::fdps::StepContext ctx;
-    const auto groups =
-        plain ? asura::fdps::makeTargetGroups(parts, local_gas, group_size)
-              : asura::fdps::makeGasTargetGroups(
-                    std::span<const Particle>(parts).subspan(0, n_local), group_size);
-    const auto ds = asura::sph::solveDensity(ctx, parts, sp, groups);
-    std::vector<std::uint64_t> wakes;
-    const auto fs = asura::sph::accumulateHydroForce(ctx, parts, sp, groups, &wakes);
-    return collect(parts, n_local, ds, fs, std::move(wakes));
-  };
-  // The production overloads: full set and active set (all local gas).
-  const auto runOverload = [&](int group_size, bool active) {
-    auto parts = initial;
-    asura::fdps::StepContext ctx;
-    SphParams p = sp;
-    p.group_size = group_size;
-    std::vector<std::uint64_t> wakes;
-    asura::sph::DensityStats ds;
-    asura::sph::ForceStats fs;
-    if (active) {
-      ds = asura::sph::solveDensity(ctx, parts, n_local, p, local_gas);
-      fs = asura::sph::accumulateHydroForce(ctx, parts, n_local, p, local_gas, &wakes);
-    } else {
-      ds = asura::sph::solveDensity(ctx, parts, n_local, p);
-      fs = asura::sph::accumulateHydroForce(ctx, parts, n_local, p, &wakes);
+    // Density + hydro with caller-chosen groups: `plain` Morton runs of
+    // group_size (the gravity grouping) or the h-aware gas groups.
+    const auto runGroups = [&](int group_size, bool plain) {
+      auto parts = initial;
+      asura::fdps::StepContext ctx;
+      const auto groups =
+          plain ? asura::fdps::makeTargetGroups(parts, local_gas, group_size)
+                : asura::fdps::makeGasTargetGroups(
+                      std::span<const Particle>(parts).subspan(0, n_local), group_size);
+      const auto ds = asura::sph::solveDensity(ctx, parts, sp, groups);
+      std::vector<std::uint64_t> wakes;
+      const auto fs = asura::sph::accumulateHydroForce(ctx, parts, sp, groups, &wakes);
+      return collect(parts, n_local, ds, fs, std::move(wakes));
+    };
+    // The production overloads: full set and active set (all local gas).
+    const auto runOverload = [&](int group_size, bool active) {
+      auto parts = initial;
+      asura::fdps::StepContext ctx;
+      SphParams p = sp;
+      p.group_size = group_size;
+      std::vector<std::uint64_t> wakes;
+      asura::sph::DensityStats ds;
+      asura::sph::ForceStats fs;
+      if (active) {
+        ds = asura::sph::solveDensity(ctx, parts, n_local, p, local_gas);
+        fs = asura::sph::accumulateHydroForce(ctx, parts, n_local, p, local_gas, &wakes);
+      } else {
+        ds = asura::sph::solveDensity(ctx, parts, n_local, p);
+        fs = asura::sph::accumulateHydroForce(ctx, parts, n_local, p, &wakes);
+      }
+      return collect(parts, n_local, ds, fs, std::move(wakes));
+    };
+
+    const SphOutputs ref = runGroups(1, /*plain=*/true);
+    ASSERT_GT(ref.force_interactions, 0u);
+    ASSERT_FALSE(ref.wakes.empty()) << "fixture must exercise the limiter";
+    const auto expectSame = [&](const SphOutputs& got, const char* what) {
+      EXPECT_TRUE(got.bits == ref.bits) << what << ": per-particle outputs differ";
+      EXPECT_TRUE(got.wakes == ref.wakes) << what << ": wake lists differ";
+      EXPECT_EQ(got.density_interactions, ref.density_interactions) << what;
+      EXPECT_EQ(got.force_interactions, ref.force_interactions) << what;
+    };
+    const SphOutputs plain8 = runGroups(8, true);
+    const SphOutputs plain64 = runGroups(64, true);
+    const SphOutputs aware64 = runGroups(64, false);
+    expectSame(plain8, "plain groups of 8");
+    expectSame(plain64, "plain groups of 64");
+    expectSame(runGroups(8, false), "h-aware groups of 8");
+    expectSame(aware64, "h-aware groups of 64");
+    for (const int gs : {1, 8, 64}) {
+      expectSame(runOverload(gs, /*active=*/false), "full-set overload");
+      expectSame(runOverload(gs, /*active=*/true), "active-set overload");
     }
-    return collect(parts, n_local, ds, fs, std::move(wakes));
-  };
-
-  const SphOutputs ref = runGroups(1, /*plain=*/true);
-  ASSERT_GT(ref.force_interactions, 0u);
-  ASSERT_FALSE(ref.wakes.empty()) << "fixture must exercise the limiter";
-  const auto expectSame = [&](const SphOutputs& got, const char* what) {
-    EXPECT_TRUE(got.bits == ref.bits) << what << ": per-particle outputs differ";
-    EXPECT_TRUE(got.wakes == ref.wakes) << what << ": wake lists differ";
-    EXPECT_EQ(got.density_interactions, ref.density_interactions) << what;
-    EXPECT_EQ(got.force_interactions, ref.force_interactions) << what;
-  };
-  const SphOutputs plain8 = runGroups(8, true);
-  const SphOutputs plain64 = runGroups(64, true);
-  const SphOutputs aware64 = runGroups(64, false);
-  expectSame(plain8, "plain groups of 8");
-  expectSame(plain64, "plain groups of 64");
-  expectSame(runGroups(8, false), "h-aware groups of 8");
-  expectSame(aware64, "h-aware groups of 64");
-  for (const int gs : {1, 8, 64}) {
-    expectSame(runOverload(gs, /*active=*/false), "full-set overload");
-    expectSame(runOverload(gs, /*active=*/true), "active-set overload");
+    // What the h-aware groups buy: far fewer prefilter candidates for the
+    // same interactions once groups stop mixing clump and diffuse gas.
+    EXPECT_LT(2 * aware64.candidates, plain64.candidates);
+    per_isa.push_back(ref);
   }
-  // What the h-aware groups buy: far fewer prefilter candidates for the
-  // same interactions once groups stop mixing clump and diffuse gas.
-  EXPECT_LT(2 * aware64.candidates, plain64.candidates);
+  for (std::size_t k = 1; k < per_isa.size(); ++k) {
+    EXPECT_EQ(per_isa[k].density_interactions, per_isa[0].density_interactions);
+    EXPECT_EQ(per_isa[k].force_interactions, per_isa[0].force_interactions);
+    EXPECT_EQ(per_isa[k].candidates, per_isa[0].candidates);
+    EXPECT_TRUE(per_isa[k].wakes == per_isa[0].wakes);
+  }
 }
 
 // ---------------------------------------------------------------------------
