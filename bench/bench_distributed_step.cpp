@@ -1,12 +1,13 @@
-// Distributed step-driver benchmark (ISSUE 4 + ISSUE 10 acceptance): a
-// multi-rank MW-mini window stepped over the in-process SPMD cluster,
-// comparing the cached LET/ghost exchange against the exchange-every-pass
-// baseline, plus an SN-storm window comparing the work-weighted Morton-
-// segment decomposition against the equal-count rectilinear split. The
-// headline counters: exportLet walks per step (cached: P-1, exactly one
-// exchange reused by the second pass and every sub-step), comm bytes per
-// step, and — for the storm — the per-rank compute-time imbalance
-// work_imbalance = mean over timed steps of rank_work_max / rank_work_mean.
+// Distributed step-driver benchmark: a multi-rank MW-mini window stepped
+// over the in-process SPMD cluster with the cached LET/ghost exchange, plus
+// an SN-storm window comparing the work-weighted Morton-segment
+// decomposition against the equal-count rectilinear split. The headline
+// counters: exportLet walks per step (P-1: exactly one exchange reused by
+// the second pass and every sub-step), comm bytes per step, and — for the
+// storm — the per-rank compute-time imbalance work_imbalance = mean over
+// timed steps of rank_work_max / rank_work_mean. The exchange-every-pass
+// baseline rows (BM_DistStepExchangeEveryPass, BM_DistStepEveryPass-
+// Hierarchical) are on record in BENCH_distributed_step.json.
 //
 //   ./build/bench_distributed_step --benchmark_format=json > BENCH_distributed_step.json
 //
@@ -217,10 +218,9 @@ void setCounters(benchmark::State& state, const WindowResult& last) {
   state.counters["step_seconds_mean"] = last.seconds_mean;
 }
 
-void runBench(benchmark::State& state, bool cached, bool hierarchical) {
+void runBench(benchmark::State& state, bool hierarchical) {
   const auto ic = miniGalaxy(static_cast<int>(state.range(0)));
   DistributedConfig dcfg;
-  dcfg.cache_exchanges = cached;
   dcfg.skin = 5.0;  // pc: MW-mini disc speeds cover several steps
   WindowResult last;
   for (auto _ : state) {
@@ -256,35 +256,17 @@ void runStormBench(benchmark::State& state, bool weighted) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * kTimedSteps);
 }
 
-void BM_DistStepCached(benchmark::State& state) { runBench(state, true, false); }
+void BM_DistStepCached(benchmark::State& state) { runBench(state, false); }
 BENCHMARK(BM_DistStepCached)
     ->Arg(8000)
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime()
     ->Iterations(2);
 
-void BM_DistStepExchangeEveryPass(benchmark::State& state) {
-  runBench(state, false, false);
-}
-BENCHMARK(BM_DistStepExchangeEveryPass)
-    ->Arg(8000)
-    ->Unit(benchmark::kMillisecond)
-    ->UseManualTime()
-    ->Iterations(2);
-
 void BM_DistStepCachedHierarchical(benchmark::State& state) {
-  runBench(state, true, true);
+  runBench(state, true);
 }
 BENCHMARK(BM_DistStepCachedHierarchical)
-    ->Arg(8000)
-    ->Unit(benchmark::kMillisecond)
-    ->UseManualTime()
-    ->Iterations(2);
-
-void BM_DistStepEveryPassHierarchical(benchmark::State& state) {
-  runBench(state, false, true);
-}
-BENCHMARK(BM_DistStepEveryPassHierarchical)
     ->Arg(8000)
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime()
@@ -311,10 +293,9 @@ BENCHMARK(BM_SnStormEqualCount)
 int main(int argc, char** argv) {
   std::fprintf(stderr,
                "distributed step benchmark — %d in-process ranks over an "
-               "MW-mini realization.\nCompare Cached vs ExchangeEveryPass: "
-               "export_walks_per_step is P-1 cached (one LET\nexchange, "
-               "reused by the 2nd pass and every sub-step) vs 2(P-1)+ for "
-               "the baseline.\nCompare SnStormWeighted vs SnStormEqualCount: "
+               "MW-mini realization.\nexport_walks_per_step is P-1 (one LET "
+               "exchange, reused by the 2nd pass and\nevery sub-step).\n"
+               "Compare SnStormWeighted vs SnStormEqualCount: "
                "work_imbalance is the per-rank\ncompute-time max/mean under "
                "a clustered SN storm.\nPass --benchmark_format=json for the "
                "machine-readable record.\n\n",

@@ -1,37 +1,30 @@
 // Reproduces Table 4: asymptotic single-core performance of the interaction
-// kernels, now measured on the *production* PIKG-generated backends (scalar
-// / AVX2 / AVX-512, runtime-dispatched) against the pre-refactor
-// hand-written loops kept as baselines. Each baseline carries the flags its
-// production original had: the gravity loop lives in table4_baselines.cpp
-// with the old -ffast-math -mrecip arrangement, the SPH loops (strict math
-// in sph.cpp) are compiled here strictly. Measured GFLOPS use the paper's
+// kernels, measured on the production PIKG-generated backends (scalar /
+// AVX2 / AVX-512, runtime-dispatched). Measured GFLOPS use the paper's
 // operation counts (27 / 73 / 101 per interaction); the paper's A64FX /
 // genoa / GH200 rows are printed (stderr) as reference alongside this
-// host's measurements.
+// host's measurements. The pre-refactor hand-written loops these kernels
+// replaced are on record as the BM_*Handwritten rows of
+// BENCH_kernel_codegen.json.
 //
 // Machine-readable record:
 //   bench_table4_kernels --benchmark_format=json > BENCH_kernel_codegen.json
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "kernels/registry.hpp"
 #include "perf/machines.hpp"
 #include "pikg/ppa.hpp"
-#include "pikg_gravity.hpp"
 #include "sph/kernels.hpp"
-#include "table4_baselines.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/vec3.hpp"
 
 namespace {
 
 using asura::pikg::Isa;
-using asura::util::Vec3d;
 namespace gen = asura::pikg::gen;
 
 constexpr int kNi = 512, kNj = 512;
@@ -45,28 +38,22 @@ bool skipUnlessRunnable(benchmark::State& state, Isa isa) {
 }
 
 // ---------------------------------------------------------------------------
-// Gravity: generated mixed-F32 SoA kernel vs the hand-written
-// autovectorized loop it replaced (evalGroupSoaMixedF32, verbatim).
+// Gravity: generated mixed-F32 SoA kernel.
 // ---------------------------------------------------------------------------
 
 struct GravData {
   std::vector<float> xi, yi, zi, e2i, xj, yj, zj, mj, e2j;
   std::vector<double> ax, ay, az, pot;
-  std::vector<Vec3d> tpos;       // baseline-shaped targets
-  std::vector<double> teps, bpot;
-  std::vector<Vec3d> bacc;
 };
 
 GravData makeGravData() {
   asura::util::Pcg32 rng(1);
   GravData d;
   d.xi.resize(kNi); d.yi.resize(kNi); d.zi.resize(kNi); d.e2i.assign(kNi, 0.01f);
-  d.tpos.resize(kNi); d.teps.assign(kNi, 0.1);
   for (int i = 0; i < kNi; ++i) {
-    d.tpos[i] = {rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-10, 10)};
-    d.xi[i] = static_cast<float>(d.tpos[i].x);
-    d.yi[i] = static_cast<float>(d.tpos[i].y);
-    d.zi[i] = static_cast<float>(d.tpos[i].z);
+    d.xi[i] = static_cast<float>(rng.uniform(-10, 10));
+    d.yi[i] = static_cast<float>(rng.uniform(-10, 10));
+    d.zi[i] = static_cast<float>(rng.uniform(-10, 10));
   }
   d.xj.resize(kNj); d.yj.resize(kNj); d.zj.resize(kNj);
   d.mj.assign(kNj, 1.0f); d.e2j.assign(kNj, 0.01f);
@@ -77,22 +64,7 @@ GravData makeGravData() {
   }
   d.ax.assign(kNi, 0.0); d.ay.assign(kNi, 0.0);
   d.az.assign(kNi, 0.0); d.pot.assign(kNi, 0.0);
-  d.bacc.assign(kNi, Vec3d{}); d.bpot.assign(kNi, 0.0);
   return d;
-}
-
-void BM_GravHandwritten(benchmark::State& state) {
-  auto d = makeGravData();
-  for (auto _ : state) {
-    asura::bench::gravHandwrittenBaseline(d.tpos.data(), d.teps.data(), kNi, Vec3d{},
-                                          d.xj.data(), d.yj.data(), d.zj.data(),
-                                          d.mj.data(), d.e2j.data(), kNj, 1.0,
-                                          d.bacc.data(), d.bpot.data());
-    benchmark::DoNotOptimize(d.bacc.data());
-  }
-  const double inter = static_cast<double>(state.iterations()) * kNi * kNj;
-  state.counters["GFLOPS"] = benchmark::Counter(inter * 27 / 1e9,
-                                                benchmark::Counter::kIsRate);
 }
 
 void gravGenBench(benchmark::State& state, Isa isa) {
@@ -115,8 +87,7 @@ void BM_GravGenAvx2(benchmark::State& state) { gravGenBench(state, Isa::Avx2); }
 void BM_GravGenAvx512(benchmark::State& state) { gravGenBench(state, Isa::Avx512); }
 
 // ---------------------------------------------------------------------------
-// SPH density: generated f64 PPA-table kernel vs the old per-target
-// distance-prefilter + scalar closed-form kernel-sum loop.
+// SPH density: generated f64 PPA-table kernel.
 // ---------------------------------------------------------------------------
 
 struct SphData {
@@ -124,7 +95,6 @@ struct SphData {
   std::vector<double> xi, yi, zi, vxi, vyi, vzi;           // targets
   std::vector<double> xj, yj, zj, mj, vxj, vyj, vzj;       // sources
   std::vector<double> hfj, hhj, hij, h4j, p2j, rhoj, csj, balj;
-  std::vector<double> r2;                                  // baseline scratch
 };
 
 SphData makeSphData() {
@@ -167,45 +137,7 @@ SphData makeSphData() {
   d.hinv = 1.0 / d.H;
   d.hinv3 = d.hinv * d.hinv * d.hinv;
   d.hinv4 = d.hinv3 * d.hinv;
-  d.r2.resize(kNj);
   return d;
-}
-
-void BM_DensHandwritten(benchmark::State& state) {
-  auto d = makeSphData();
-  const asura::sph::Kernel kern{};
-  double sink = 0.0;
-  for (auto _ : state) {
-    for (int i = 0; i < kNi; ++i) {
-      const double px = d.xi[i], py = d.yi[i], pz = d.zi[i];
-#pragma omp simd
-      for (int j = 0; j < kNj; ++j) {
-        const double dx = px - d.xj[j];
-        const double dy = py - d.yj[j];
-        const double dz = pz - d.zj[j];
-        d.r2[j] = dx * dx + dy * dy + dz * dz;
-      }
-      double rho = 0.0, div = 0.0;
-      Vec3d curl{};
-      for (int j = 0; j < kNj; ++j) {
-        const double r = std::sqrt(d.r2[j]);
-        rho += d.mj[j] * kern.w(r, d.H);
-        if (r > 0.0) {
-          const Vec3d dr{px - d.xj[j], py - d.yj[j], pz - d.zj[j]};
-          const Vec3d gradW = (kern.dwdr(r, d.H) / r) * dr;
-          const Vec3d dv{d.vxi[i] - d.vxj[j], d.vyi[i] - d.vyj[j],
-                         d.vzi[i] - d.vzj[j]};
-          div -= d.mj[j] * dv.dot(gradW);
-          curl -= d.mj[j] * dv.cross(gradW);
-        }
-      }
-      sink += rho + div + curl.x;
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  const double inter = static_cast<double>(state.iterations()) * kNi * kNj;
-  state.counters["GFLOPS"] = benchmark::Counter(inter * 73 / 1e9,
-                                                benchmark::Counter::kIsRate);
 }
 
 void densGenBench(benchmark::State& state, Isa isa) {
@@ -234,57 +166,8 @@ void BM_DensGenAvx2(benchmark::State& state) { densGenBench(state, Isa::Avx2); }
 void BM_DensGenAvx512(benchmark::State& state) { densGenBench(state, Isa::Avx512); }
 
 // ---------------------------------------------------------------------------
-// SPH hydro force: generated f64 pair kernel vs the old scalar pair loop.
+// SPH hydro force: generated f64 pair kernel.
 // ---------------------------------------------------------------------------
-
-void BM_HydroHandwritten(benchmark::State& state) {
-  auto d = makeSphData();
-  const asura::sph::Kernel kern{};
-  const double alpha = 1.0, beta = 2.0;
-  double sink = 0.0;
-  for (auto _ : state) {
-    for (int i = 0; i < kNi; ++i) {
-      const double px = d.xi[i], py = d.yi[i], pz = d.zi[i];
-      const double Hi = d.H, hi = 0.5 * d.H;
-      const double Pi_rho2 = 0.5, ci = 2.0, rho_i = 120.0, balsara_i = 0.7;
-      Vec3d acc{};
-      double dudt = 0.0, vsig = ci;
-      for (int j = 0; j < kNj; ++j) {
-        const Vec3d dr{px - d.xj[j], py - d.yj[j], pz - d.zj[j]};
-        const double r2 = dr.norm2();
-        if (!(r2 > 0.0)) continue;
-        const double r = std::sqrt(r2);
-        const double Hj = d.hfj[j];
-        const double dwi = r < Hi ? kern.dwdr(r, Hi) : 0.0;
-        const double dwj = r < Hj ? kern.dwdr(r, Hj) : 0.0;
-        const Vec3d gradW = (0.5 * (dwi + dwj) / r) * dr;
-        const Vec3d dv{d.vxi[i] - d.vxj[j], d.vyi[i] - d.vyj[j], d.vzi[i] - d.vzj[j]};
-        const double vdotr = dv.dot(dr);
-        double visc = 0.0;
-        if (vdotr < 0.0) {
-          const double hj = 0.5 * Hj;
-          const double hbar = 0.5 * (hi + hj);
-          const double mu = hbar * vdotr / (r * r + 0.01 * hbar * hbar);
-          const double cbar = 0.5 * (ci + d.csj[j]);
-          const double rhobar = 0.5 * (rho_i + d.rhoj[j]);
-          visc = (-alpha * cbar * mu + beta * mu * mu) / rhobar * 0.5 *
-                 (balsara_i + d.balj[j]);
-          vsig = std::max(vsig, ci + d.csj[j] - 3.0 * mu);
-        } else {
-          vsig = std::max(vsig, ci + d.csj[j]);
-        }
-        const double f = d.mj[j] * (Pi_rho2 + d.p2j[j] + visc);
-        acc -= f * gradW;
-        dudt += d.mj[j] * (Pi_rho2 + 0.5 * visc) * dv.dot(gradW);
-      }
-      sink += acc.x + dudt + vsig;
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  const double inter = static_cast<double>(state.iterations()) * kNi * kNj;
-  state.counters["GFLOPS"] = benchmark::Counter(inter * 101 / 1e9,
-                                                benchmark::Counter::kIsRate);
-}
 
 void hydroGenBench(benchmark::State& state, Isa isa) {
   if (skipUnlessRunnable(state, isa)) return;
@@ -316,62 +199,8 @@ void BM_HydroGenAvx2(benchmark::State& state) { hydroGenBench(state, Isa::Avx2);
 void BM_HydroGenAvx512(benchmark::State& state) { hydroGenBench(state, Isa::Avx512); }
 
 // ---------------------------------------------------------------------------
-// Legacy AoS test-header kernels (the original Table-4 microbenchmark) and
-// the PPA batch-evaluation path.
+// The PPA batch-evaluation path.
 // ---------------------------------------------------------------------------
-
-std::vector<pikg_generated::GravEpi> makeEpi() {
-  asura::util::Pcg32 rng(1);
-  std::vector<pikg_generated::GravEpi> v(kNi);
-  for (auto& p : v) {
-    p.x = static_cast<float>(rng.uniform(-10, 10));
-    p.y = static_cast<float>(rng.uniform(-10, 10));
-    p.z = static_cast<float>(rng.uniform(-10, 10));
-    p.eps2 = 0.01f;
-  }
-  return v;
-}
-
-std::vector<pikg_generated::GravEpj> makeEpj() {
-  asura::util::Pcg32 rng(2);
-  std::vector<pikg_generated::GravEpj> v(kNj);
-  for (auto& p : v) {
-    p.x = static_cast<float>(rng.uniform(-10, 10));
-    p.y = static_cast<float>(rng.uniform(-10, 10));
-    p.z = static_cast<float>(rng.uniform(-10, 10));
-    p.m = 1.0f;
-    p.eps2 = 0.01f;
-  }
-  return v;
-}
-
-template <class F>
-void gravityBench(benchmark::State& state, F&& kernel, int flops_per) {
-  const auto epi = makeEpi();
-  const auto epj = makeEpj();
-  std::vector<pikg_generated::GravForce> f(kNi, {0, 0, 0, 0});
-  for (auto _ : state) {
-    kernel(epi.data(), kNi, epj.data(), kNj, f.data());
-    benchmark::DoNotOptimize(f.data());
-  }
-  const double inter = static_cast<double>(state.iterations()) * kNi * kNj;
-  state.counters["GFLOPS"] =
-      benchmark::Counter(inter * flops_per / 1e9, benchmark::Counter::kIsRate);
-}
-
-void BM_GravityScalar(benchmark::State& state) {
-  gravityBench(state, pikg_generated::grav_scalar, 27);
-}
-#ifdef __AVX2__
-void BM_GravityAvx2(benchmark::State& state) {
-  gravityBench(state, pikg_generated::grav_avx2, 27);
-}
-#endif
-#ifdef __AVX512F__
-void BM_GravityAvx512(benchmark::State& state) {
-  gravityBench(state, pikg_generated::grav_avx512, 27);
-}
-#endif
 
 /// PPA-table-lookup SPH kernel microbenchmark: evaluates the cubic-spline
 /// W(q) via the SIMD gather path for blocks of pair distances.
@@ -394,25 +223,15 @@ void sphBench(benchmark::State& state, int flops_per) {
 void BM_HydroDensityPpa(benchmark::State& state) { sphBench(state, 73); }
 void BM_HydroForcePpa(benchmark::State& state) { sphBench(state, 101); }
 
-BENCHMARK(BM_GravHandwritten);
 BENCHMARK(BM_GravGenScalar);
 BENCHMARK(BM_GravGenAvx2);
 BENCHMARK(BM_GravGenAvx512);
-BENCHMARK(BM_DensHandwritten);
 BENCHMARK(BM_DensGenScalar);
 BENCHMARK(BM_DensGenAvx2);
 BENCHMARK(BM_DensGenAvx512);
-BENCHMARK(BM_HydroHandwritten);
 BENCHMARK(BM_HydroGenScalar);
 BENCHMARK(BM_HydroGenAvx2);
 BENCHMARK(BM_HydroGenAvx512);
-BENCHMARK(BM_GravityScalar);
-#ifdef __AVX2__
-BENCHMARK(BM_GravityAvx2);
-#endif
-#ifdef __AVX512F__
-BENCHMARK(BM_GravityAvx512);
-#endif
 BENCHMARK(BM_HydroDensityPpa);
 BENCHMARK(BM_HydroForcePpa);
 
@@ -429,10 +248,8 @@ void printPaperReference() {
             "62.1%", "1.88 TF", "2.8%"});
   t.setFootnote(
       "Rows above are the paper's measurements; google-benchmark rows below are this\n"
-      "host's kernels. BM_*Handwritten are the pre-refactor autovectorized production\n"
-      "loops (this TU keeps the old -ffast-math -mrecip flags); BM_*Gen* are the\n"
-      "PIKG-generated backends selected by runtime dispatch. Host single-core SP peak\n"
-      "estimate: see perf::genoaCoreSpGflops().");
+      "host's kernels. BM_*Gen* are the PIKG-generated backends selected by runtime\n"
+      "dispatch. Host single-core SP peak estimate: see perf::genoaCoreSpGflops().");
   // Banner goes to stderr so `--benchmark_format=json > BENCH_*.json`
   // captures a clean machine-readable stream on stdout.
   std::fputs(t.str().c_str(), stderr);

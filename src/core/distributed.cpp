@@ -178,7 +178,7 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts,
                                         const gravity::GravityParams& grav,
                                         bool allow_value_refresh) {
   const bool dirty_mine = dirty_local_ || !ctx.letValid() || !ctx.ghostsValid() ||
-                          drift_accum_ > 0.5 * cfg_.skin || !cfg_.cache_exchanges;
+                          drift_accum_ > 0.5 * cfg_.skin;
   const int dirty = comm_.allreduce(dirty_mine ? 1 : 0, Op::Max);
   if (dirty != 0) {
     fullExchange(parts, n_local, ctx, grav);
@@ -186,7 +186,7 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts,
   }
 
   ctx.noteLetReuse();
-  if (allow_value_refresh && cfg_.refresh_let_values && comm_.size() > 1) {
+  if (allow_value_refresh && comm_.size() > 1) {
     // Payload-style LET refresh: if any rank drifted since the entry values
     // were last synced, every rank recomputes its exported values from live
     // particle state along the recorded walk structure and re-ships them —
@@ -205,7 +205,7 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts,
       if (was_attached) attachGhosts(parts, n_local, ctx);
     }
   }
-  if (allow_value_refresh && cfg_.refresh_ghost_values) {
+  if (allow_value_refresh) {
     // Same ghost list, fresh payloads: remote kicks/cooling updates become
     // visible to the density gather without any selection scan or exportLet
     // walk. The call is an alltoallv and therefore collective — the flags
@@ -325,10 +325,8 @@ int DistributedEngine::captureAndSubmit(std::vector<Particle>& parts,
     if (region.empty()) continue;
     std::sort(region.begin(), region.end(),
               [](const Particle& a, const Particle& b) { return a.id < b.id; });
-    if (pool != nullptr) {
-      pool->submit(step, std::move(region), events[e].pos, events[e].energy, horizon);
-      ++sent;
-    }
+    pool->submit(step, std::move(region), events[e].pos, events[e].energy, horizon);
+    ++sent;
   }
   return sent;
 }

@@ -98,15 +98,6 @@ std::vector<SourceEntry> refreshLetValues(comm::Comm& comm, const LetExportRecor
   return result;
 }
 
-std::vector<Particle> exchangeHydroGhosts(comm::Comm& comm, const DomainDecomposer& dd,
-                                          const std::vector<Particle>& particles,
-                                          double local_max_h,
-                                          comm::TorusTopology* torus) {
-  return exchangeHydroGhostsCached(comm, dd, particles, particles.size(), local_max_h,
-                                   /*h_margin=*/1.0, /*skin=*/0.0, torus)
-      .ghosts;
-}
-
 GhostExchange exchangeHydroGhostsCached(comm::Comm& comm, const DomainDecomposer& dd,
                                         const std::vector<Particle>& particles,
                                         std::size_t n_local, double local_max_h,

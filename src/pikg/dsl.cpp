@@ -60,41 +60,6 @@ std::string emitNrRsqrt(const std::string& raw, const std::string& x,
 
 }  // namespace
 
-KernelDef makeGravityKernel() {
-  // F_ij = -m_j r_ij / (r_ij^2 + eps_i^2 + eps_j^2)^{3/2}; phi_ij = -m_j/r.
-  // (G is applied by the caller; the paper counts 27 flops per interaction.)
-  KernelDef def;
-  def.name = "grav";
-  def.epi = {"x", "y", "z", "eps2"};
-  def.epj = {"x", "y", "z", "m", "eps2"};
-  def.force = {"ax", "ay", "az", "pot"};
-  def.body = {
-      {"dx", "sub", "x_i", "x_j", ""},
-      {"dy", "sub", "y_i", "y_j", ""},
-      {"dz", "sub", "z_i", "z_j", ""},
-      {"r2a", "mul", "dx", "dx", ""},
-      {"r2b", "fma", "dy", "dy", "r2a"},
-      {"r2", "fma", "dz", "dz", "r2b"},
-      {"r2e", "add", "r2", "eps2_i", ""},
-      {"r2ee", "add", "r2e", "eps2_j", ""},
-      {"rinv", "rsqrt", "r2ee", "", ""},
-      {"mrinv", "mul", "m_j", "rinv", ""},
-      {"rinv2", "mul", "rinv", "rinv", ""},
-      {"mrinv3", "mul", "mrinv", "rinv2", ""},
-      {"fx", "mul", "mrinv3", "dx", ""},
-      {"fy", "mul", "mrinv3", "dy", ""},
-      {"fz", "mul", "mrinv3", "dz", ""},
-  };
-  def.accum = {
-      {"ax", "fx", '-'},
-      {"ay", "fy", '-'},
-      {"az", "fz", '-'},
-      {"pot", "mrinv", '-'},
-  };
-  def.flops_per_interaction = 27;
-  return def;
-}
-
 KernelDef makeGravityProductionKernel() {
   // The production group kernel (replaces the hand-written
   // gravity::evalGroupSoaMixedF32): sources and targets arrive staged
@@ -102,7 +67,6 @@ KernelDef makeGravityProductionKernel() {
   // the branch-free self mask zeroes the mass and clamps the denominator.
   KernelDef def;
   def.name = "grav";
-  def.axis = KernelDef::Axis::J;
   def.prec = KernelDef::Prec::F32;
   def.f64_accum = true;
   def.epi = {"x", "y", "z", "e2"};
@@ -146,7 +110,6 @@ KernelDef makeDensityKernel() {
   //   W(r, H) = wbar(u) / H^3,  dW/dr(r, H) = dwbar(u) / H^4.
   KernelDef def;
   def.name = "dens";
-  def.axis = KernelDef::Axis::J;
   def.prec = KernelDef::Prec::F64;
   def.epi = {"x", "y", "z", "vx", "vy", "vz", "hinv", "hinv3", "hinv4"};
   def.epj = {"x", "y", "z", "m", "vx", "vy", "vz"};
@@ -214,7 +177,6 @@ KernelDef makeHydroForceKernel() {
   // staged by the caller), signal-velocity max-reduction for the CFL clock.
   KernelDef def;
   def.name = "hydro";
-  def.axis = KernelDef::Axis::J;
   def.prec = KernelDef::Prec::F64;
   def.epi = {"x", "y", "z", "vx", "vy", "vz", "hfull", "hh", "hinv", "hinv4",
              "prho2", "rho", "cs", "bal"};
@@ -389,214 +351,6 @@ void validate(const KernelDef& def) {
       throw std::invalid_argument("pikg: bad sign");
     }
   }
-}
-
-std::string generateStructs(const KernelDef& def) {
-  const std::string base = capitalize(def.name);
-  std::ostringstream os;
-  auto emit = [&](const std::string& suffix, const std::vector<std::string>& fields) {
-    os << "struct " << base << suffix << " {\n";
-    for (const auto& f : fields) os << "  float " << f << ";\n";
-    os << "};\n\n";
-  };
-  emit("Epi", def.epi);
-  emit("Epj", def.epj);
-  emit("Force", def.force);
-  return os.str();
-}
-
-std::string generateScalar(const KernelDef& def) {
-  validate(def);
-  const std::string base = capitalize(def.name);
-  std::ostringstream os;
-  os << "inline void " << def.name << "_scalar(const " << base << "Epi* epi, int ni, const "
-     << base << "Epj* epj, int nj, " << base << "Force* force) {\n";
-  os << "  for (int i = 0; i < ni; ++i) {\n";
-  for (const auto& f : def.epi) {
-    os << "    const float " << f << "_i = epi[i]." << f << ";\n";
-  }
-  for (const auto& f : def.force) {
-    os << "    float acc_" << f << " = 0.0f;\n";
-  }
-  os << "    for (int j = 0; j < nj; ++j) {\n";
-  for (const auto& f : def.epj) {
-    os << "      const float " << f << "_j = epj[j]." << f << ";\n";
-  }
-  for (const auto& s : def.body) {
-    os << "      const float " << s.dst << " = ";
-    if (s.op == "const") {
-      os << s.a << "f";
-    } else if (s.op == "add") {
-      os << s.a << " + " << s.b;
-    } else if (s.op == "sub") {
-      os << s.a << " - " << s.b;
-    } else if (s.op == "mul") {
-      os << s.a << " * " << s.b;
-    } else if (s.op == "fma") {
-      os << s.a << " * " << s.b << " + " << s.c;
-    } else if (s.op == "rsqrt") {
-      os << "1.0f / std::sqrt(" << s.a << ")";
-    } else if (s.op == "max") {
-      os << "std::max(" << s.a << ", " << s.b << ")";
-    } else if (s.op == "min") {
-      os << "std::min(" << s.a << ", " << s.b << ")";
-    } else {
-      throw std::invalid_argument("pikg: op " + s.op +
-                                  " not supported by the legacy AoS emitter");
-    }
-    os << ";\n";
-  }
-  for (const auto& a : def.accum) {
-    if (a.sign == 'x') {
-      throw std::invalid_argument("pikg: max-accum not supported by the legacy emitter");
-    }
-    os << "      acc_" << a.field << " " << a.sign << "= " << a.var << ";\n";
-  }
-  os << "    }\n";
-  for (const auto& f : def.force) {
-    os << "    force[i]." << f << " += acc_" << f << ";\n";
-  }
-  os << "  }\n";
-  os << "}\n";
-  return os.str();
-}
-
-namespace {
-
-/// Shared emitter for the two x86 SIMD widths (legacy AoS / i-blocked path).
-std::string generateSimd(const KernelDef& def, int width, const std::string& guard,
-                         const std::string& prefix, const std::string& reg,
-                         const std::string& suffix) {
-  validate(def);
-  const std::string base = capitalize(def.name);
-  std::ostringstream os;
-  auto op1 = [&](const std::string& name, const std::string& a) {
-    return prefix + name + "_ps(" + a + ")";
-  };
-  auto op2 = [&](const std::string& name, const std::string& a, const std::string& b) {
-    return prefix + name + "_ps(" + a + ", " + b + ")";
-  };
-
-  os << "#ifdef " << guard << "\n";
-  os << "inline void " << def.name << "_" << suffix << "(const " << base
-     << "Epi* epi, int ni, const " << base << "Epj* epj, int nj, " << base
-     << "Force* force) {\n";
-  os << "  // PIKG transformation (1): AoS -> SoA staging of both ends.\n";
-  for (const auto& f : def.epi) {
-    os << "  std::vector<float> soa_i_" << f << "(static_cast<size_t>(ni));\n";
-  }
-  os << "  for (int i = 0; i < ni; ++i) {\n";
-  for (const auto& f : def.epi) {
-    os << "    soa_i_" << f << "[static_cast<size_t>(i)] = epi[i]." << f << ";\n";
-  }
-  os << "  }\n";
-  for (const auto& f : def.epj) {
-    os << "  std::vector<float> soa_j_" << f << "(static_cast<size_t>(nj));\n";
-  }
-  os << "  for (int j = 0; j < nj; ++j) {\n";
-  for (const auto& f : def.epj) {
-    os << "    soa_j_" << f << "[static_cast<size_t>(j)] = epj[j]." << f << ";\n";
-  }
-  os << "  }\n";
-  os << "  int i = 0;\n";
-  os << "  for (; i + " << width << " <= ni; i += " << width << ") {\n";
-  for (const auto& f : def.epi) {
-    os << "    const " << reg << " " << f << "_i = " << prefix
-       << "loadu_ps(soa_i_" << f << ".data() + i);\n";
-  }
-  for (const auto& f : def.force) {
-    os << "    " << reg << " acc_" << f << " = " << prefix << "setzero_ps();\n";
-  }
-  os << "    for (int j = 0; j < nj; ++j) {\n";
-  for (const auto& f : def.epj) {
-    os << "      const " << reg << " " << f << "_j = " << prefix << "set1_ps(soa_j_" << f
-       << "[static_cast<size_t>(j)]);\n";
-  }
-  for (const auto& s : def.body) {
-    os << "      const " << reg << " " << s.dst << " = ";
-    if (s.op == "const") {
-      os << prefix << "set1_ps(" << s.a << "f)";
-    } else if (s.op == "add") {
-      os << op2("add", s.a, s.b);
-    } else if (s.op == "sub") {
-      os << op2("sub", s.a, s.b);
-    } else if (s.op == "mul") {
-      os << op2("mul", s.a, s.b);
-    } else if (s.op == "fma") {
-      os << prefix << "fmadd_ps(" << s.a << ", " << s.b << ", " << s.c << ")";
-    } else if (s.op == "rsqrt") {
-      // Fast reciprocal sqrt + one Newton-Raphson refinement step:
-      // y' = y * (1.5 - 0.5 x y^2), recovering ~23-bit accuracy.
-      const std::string raw =
-          width == 16 ? op1("rsqrt14", s.a) : op1("rsqrt", s.a);
-      os << emitNrRsqrt(raw, s.a, prefix, reg, "_ps");
-    } else if (s.op == "max") {
-      os << op2("max", s.a, s.b);
-    } else if (s.op == "min") {
-      os << op2("min", s.a, s.b);
-    } else {
-      throw std::invalid_argument("pikg: op " + s.op +
-                                  " not supported by the legacy AoS emitter");
-    }
-    os << ";\n";
-  }
-  for (const auto& a : def.accum) {
-    if (a.sign == '+') {
-      os << "      acc_" << a.field << " = " << op2("add", "acc_" + a.field, a.var)
-         << ";\n";
-    } else if (a.sign == '-') {
-      os << "      acc_" << a.field << " = " << op2("sub", "acc_" + a.field, a.var)
-         << ";\n";
-    } else {
-      throw std::invalid_argument("pikg: max-accum not supported by the legacy emitter");
-    }
-  }
-  os << "    }\n";
-  os << "    alignas(64) float lane[" << width << "];\n";
-  for (const auto& f : def.force) {
-    os << "    " << prefix << "storeu_ps(lane, acc_" << f << ");\n";
-    os << "    for (int l = 0; l < " << width << "; ++l) force[i + l]." << f
-       << " += lane[l];\n";
-  }
-  os << "  }\n";
-  os << "  if (i < ni) " << def.name << "_scalar(epi + i, ni - i, epj, nj, force + i);\n";
-  os << "}\n";
-  os << "#endif  // " << guard << "\n";
-  return os.str();
-}
-
-}  // namespace
-
-std::string generateAvx2(const KernelDef& def) {
-  return generateSimd(def, 8, "__AVX2__", "_mm256_", "__m256", "avx2");
-}
-
-std::string generateAvx512(const KernelDef& def) {
-  return generateSimd(def, 16, "__AVX512F__", "_mm512_", "__m512", "avx512");
-}
-
-std::string generateHeader(const KernelDef& def) {
-  std::ostringstream os;
-  os << "// Generated by pikg_gen — do not edit.\n";
-  os << "// Kernel: " << def.name << " (" << def.flops_per_interaction
-     << " flops per interaction, Table 4 convention)\n";
-  os << "#pragma once\n";
-  os << "#include <cmath>\n#include <cstddef>\n#include <vector>\n";
-  os << "#include <algorithm>\n";
-  os << "#if defined(__AVX2__) || defined(__AVX512F__)\n#include <immintrin.h>\n#endif\n\n";
-  os << "namespace pikg_generated {\n\n";
-  os << generateStructs(def);
-  os << generateScalar(def) << "\n";
-  os << generateAvx2(def) << "\n";
-  os << generateAvx512(def) << "\n";
-  const std::string base = capitalize(def.name);
-  os << "inline void " << def.name << "_best(const " << base << "Epi* epi, int ni, const "
-     << base << "Epj* epj, int nj, " << base << "Force* force) {\n";
-  os << "#if defined(__AVX512F__)\n  " << def.name << "_avx512(epi, ni, epj, nj, force);\n";
-  os << "#elif defined(__AVX2__)\n  " << def.name << "_avx2(epi, ni, epj, nj, force);\n";
-  os << "#else\n  " << def.name << "_scalar(epi, ni, epj, nj, force);\n#endif\n}\n\n";
-  os << "}  // namespace pikg_generated\n";
-  return os.str();
 }
 
 // ===========================================================================
@@ -935,9 +689,6 @@ std::string generateSoaDeclaration(const KernelDef& def, Isa isa) {
 
 std::string generateSoaKernel(const KernelDef& def, Isa isa) {
   validate(def);
-  if (def.axis != KernelDef::Axis::J) {
-    throw std::invalid_argument("pikg: SoA emitter implements Axis::J layouts only");
-  }
   const SoaSpec sp = soaSpec(isa, def.prec == KernelDef::Prec::F64);
   const bool f64 = sp.f64;
   const std::string T = f64 ? "double" : "float";
@@ -1161,7 +912,6 @@ std::vector<GeneratedFile> generateProductionFiles() {
   const std::vector<KernelDef> defs = {makeGravityProductionKernel(), makeDensityKernel(),
                                        makeHydroForceKernel()};
   std::vector<GeneratedFile> files;
-  files.push_back({"pikg_gravity.hpp", generateHeader(makeGravityKernel())});
   files.push_back({"pikg_kernels.hpp", productionHeader(defs)});
   files.push_back({"pikg_kernels_scalar.cpp", productionTu(defs, Isa::Scalar)});
   files.push_back({"pikg_kernels_avx2.cpp", productionTu(defs, Isa::Avx2)});

@@ -12,14 +12,12 @@
 ///                                     --->  AVX-512 intrinsics code
 ///
 /// Generated code includes the two PIKG transformations relevant off-A64FX:
-/// (1) AoS -> SoA conversion of the target/source arrays, and (2) SIMD
-/// loops — either i-blocked with broadcast j-particles (Axis::I, the legacy
-/// test header) or j-vectorized with broadcast i-particles (Axis::J, the
-/// production layout matching the group-shared interaction lists). (The
-/// paper's loop fission is an A64FX-register-pressure workaround and is
-/// recorded in comments only.)
+/// (1) SoA target/source arrays, and (2) SIMD loops j-vectorized with
+/// broadcast i-particles (the layout of the group-shared interaction
+/// lists). (The paper's loop fission is an A64FX-register-pressure
+/// workaround and is recorded in comments only.)
 ///
-/// Production kernels (makeGravityProductionKernel / makeDensityKernel /
+/// The kernels (makeGravityProductionKernel / makeDensityKernel /
 /// makeHydroForceKernel) are emitted as flat-SoA-pointer functions into one
 /// shared header plus one translation unit per ISA, so the build can compile
 /// each TU with its own ISA flags and the runtime registry
@@ -28,10 +26,10 @@
 /// (pikg::PiecewisePolynomial, §3.5) looked up by subdomain and evaluated
 /// with a Horner chain — a SIMD gather per polynomial order.
 ///
-/// Generation happens at build time: the `pikg_gen` tool writes the legacy
-/// test header (pikg_gravity.hpp) and the production kernel file set
-/// (pikg_kernels.hpp + pikg_kernels_{scalar,avx2,avx512}.cpp). Output is
-/// deterministic: running the generator twice yields byte-identical files.
+/// Generation happens at build time: the `pikg_gen` tool writes the kernel
+/// file set (pikg_kernels.hpp + pikg_kernels_{scalar,avx2,avx512}.cpp).
+/// Output is deterministic: running the generator twice yields
+/// byte-identical files.
 
 #include <string>
 #include <vector>
@@ -93,7 +91,7 @@ struct TableSpec {
 
 /// Interaction kernel description.
 struct KernelDef {
-  std::string name;                ///< e.g. "grav" -> structs GravEpi/GravEpj/GravForce
+  std::string name;                ///< e.g. "grav" -> grav_scalar/grav_avx2/grav_avx512
   std::vector<std::string> epi;    ///< per-target fields
   std::vector<std::string> epj;    ///< per-source fields
   std::vector<std::string> force;  ///< output fields
@@ -101,10 +99,6 @@ struct KernelDef {
   std::vector<Accum> accum;
   int flops_per_interaction = 0;   ///< Table 4 convention for this kernel
 
-  /// SIMD loop layout: I = vectorize across targets with broadcast sources
-  /// (legacy AoS header); J = vectorize across sources with broadcast
-  /// targets (production SoA kernels — matches the hand-written hot loops).
-  enum class Axis { I, J } axis = Axis::I;
   /// Arithmetic precision of the pair loop.
   enum class Prec { F32, F64 } prec = Prec::F32;
   /// F32 kernels only: accumulate the inner loop in f32 but expose the
@@ -119,12 +113,9 @@ struct KernelDef {
   std::vector<TableSpec> tables;
 };
 
-/// The paper's gravity kernel (Eq. 1), 27 ops per interaction — the legacy
-/// AoS/I-axis definition compiled into pikg_gravity.hpp for tests.
-KernelDef makeGravityKernel();
-
-/// Production kernels (SoA, J-axis — the layouts of the hand-written hot
-/// loops they replace):
+/// Production kernels (SoA; the SIMD loop runs across sources with the
+/// target broadcast — the layouts of the hand-written hot loops they
+/// replace):
 ///  * gravity: mixed-precision group kernel (f32 arithmetic on
 ///    centre-relative coordinates, f64 accumulators, branch-free self mask);
 ///  * density: kernel sums (rho, div v, curl v) over a pre-selected
@@ -134,22 +125,6 @@ KernelDef makeGravityKernel();
 KernelDef makeGravityProductionKernel();
 KernelDef makeDensityKernel();
 KernelDef makeHydroForceKernel();
-
-/// Emit the struct definitions shared by all backends (legacy AoS header).
-std::string generateStructs(const KernelDef& def);
-
-/// Emit `void <name>_scalar(const ...Epi*, int, const ...Epj*, int, ...Force*)`.
-std::string generateScalar(const KernelDef& def);
-
-/// Emit the AVX2 backend (guarded by #ifdef __AVX2__).
-std::string generateAvx2(const KernelDef& def);
-
-/// Emit the AVX-512 backend (guarded by #ifdef __AVX512F__).
-std::string generateAvx512(const KernelDef& def);
-
-/// Full legacy header: pragma once + includes + structs + all backends + a
-/// dispatcher `<name>_best` picking the widest available instruction set.
-std::string generateHeader(const KernelDef& def);
 
 /// Production emitters: one flat-SoA-pointer function per (kernel, ISA).
 /// Signature order: (int ni, <epi ptrs>, int nj, <epj ptrs>, <table ptrs>,
@@ -163,9 +138,9 @@ struct GeneratedFile {
   std::string content;
 };
 
-/// The full build-time output set: the legacy test header plus the
-/// production shared header and per-ISA translation units (with the fitted
-/// SPH W/dW tables for both kernel types embedded as hexfloat constants).
+/// The full build-time output set: the shared header and the per-ISA
+/// translation units (with the fitted SPH W/dW tables for both kernel types
+/// embedded as hexfloat constants).
 /// Deterministic: equal input state yields byte-identical output.
 std::vector<GeneratedFile> generateProductionFiles();
 

@@ -6,7 +6,8 @@
 /// solve — "usually twice if we can set the initial guess of the kernel size
 /// properly", §5.2.5) and "2nd Calc_Force" phases. The working array is the
 /// concatenation of local particles followed by ghost particles imported by
-/// fdps::exchangeHydroGhosts; only the local prefix [0, n_local) is updated.
+/// fdps::exchangeHydroGhostsCached; only the local prefix [0, n_local) is
+/// updated.
 ///
 /// FLOP accounting matches Table 4: 73 operations per density/pressure
 /// interaction, 101 per hydro-force interaction.

@@ -305,20 +305,6 @@ TEST(Distributed, QuietSubStepsDoNoExportWalks) {
   EXPECT_TRUE(saw_multi_substep);
 }
 
-TEST(Distributed, ExchangeEveryPassBaselineWalksEveryPass) {
-  const auto ic = gasBall(600, 10.0, 1.0, 17, 3000.0);
-  SimulationConfig cfg = quietConfig();
-  DistributedConfig dcfg = engineConfig();
-  dcfg.cache_exchanges = false;  // the baseline the bench compares against
-  std::vector<StepStats> stats;
-  (void)runDistributed(ic, 8, cfg, dcfg, 2, &stats);
-  for (const auto& st : stats) {
-    EXPECT_GE(st.let_exchanges, 2);  // both force passes re-exchange
-    EXPECT_GE(st.let_export_walks, 14);
-    EXPECT_EQ(st.let_reuses, 0);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Stale-reach regression
 // ---------------------------------------------------------------------------

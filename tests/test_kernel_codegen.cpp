@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/simulation.hpp"
@@ -139,23 +140,24 @@ class GravConformance : public ::testing::Test {
     std::vector<double> ax, ay, az, pot;
   };
 
-  Out run(Isa isa) const {
+  // Both run over the first ni targets and the first nj sources.
+  Out run(Isa isa, int ni = kNi, int nj = kNj) const {
     Out o;
-    o.ax.assign(kNi, 0.0); o.ay.assign(kNi, 0.0);
-    o.az.assign(kNi, 0.0); o.pot.assign(kNi, 0.0);
-    asura::pikg::kernels(isa).grav(kNi, xi.data(), yi.data(), zi.data(), e2i.data(),
-                                   kNj, xj.data(), yj.data(), zj.data(), mj.data(),
+    o.ax.assign(ni, 0.0); o.ay.assign(ni, 0.0);
+    o.az.assign(ni, 0.0); o.pot.assign(ni, 0.0);
+    asura::pikg::kernels(isa).grav(ni, xi.data(), yi.data(), zi.data(), e2i.data(),
+                                   nj, xj.data(), yj.data(), zj.data(), mj.data(),
                                    e2j.data(), o.ax.data(), o.ay.data(), o.az.data(),
                                    o.pot.data());
     return o;
   }
 
-  Out reference() const {
+  Out reference(int ni = kNi, int nj = kNj) const {
     Out o;
-    o.ax.assign(kNi, 0.0); o.ay.assign(kNi, 0.0);
-    o.az.assign(kNi, 0.0); o.pot.assign(kNi, 0.0);
-    for (int i = 0; i < kNi; ++i) {
-      for (int j = 0; j < kNj; ++j) {
+    o.ax.assign(ni, 0.0); o.ay.assign(ni, 0.0);
+    o.az.assign(ni, 0.0); o.pot.assign(ni, 0.0);
+    for (int i = 0; i < ni; ++i) {
+      for (int j = 0; j < nj; ++j) {
         const double dx = double(xi[i]) - xj[j];
         const double dy = double(yi[i]) - yj[j];
         const double dz = double(zi[i]) - zj[j];
@@ -191,12 +193,23 @@ class GravConformance : public ::testing::Test {
 };
 
 TEST_F(GravConformance, EveryIsaMatchesF64Reference) {
-  const Out ref = reference();
-  for (const Isa isa : runnableIsas()) {
-    // f32 staging error dominates: ~1e-6 per interaction, summation over
-    // ~200 sources. 1e-4 is the mixed-F32 budget the production tree pass
-    // is validated to (test_gravity's 2e-4 rms bound).
-    EXPECT_LT(worstRel(run(isa), ref), 1e-4) << asura::pikg::isaName(isa);
+  // Besides the full fixture: the SIMD loop runs across sources, so
+  // nj = 1..17 and 31 cover every remainder length of the 8- and 16-lane
+  // loops, including counts below one vector; ni = 1 is a lone target.
+  std::vector<std::pair<int, int>> shapes{{kNi, kNj}};
+  for (const int ni : {1, 7, 9, 15, 17, 31}) {
+    for (int nj = 1; nj <= 17; ++nj) shapes.emplace_back(ni, nj);
+    shapes.emplace_back(ni, 31);
+  }
+  for (const auto& [ni, nj] : shapes) {
+    const Out ref = reference(ni, nj);
+    for (const Isa isa : runnableIsas()) {
+      // f32 staging error dominates: ~1e-6 per interaction, summation over
+      // ~200 sources. 1e-4 is the mixed-F32 budget the production tree pass
+      // is validated to (test_gravity's 2e-4 rms bound).
+      EXPECT_LT(worstRel(run(isa, ni, nj), ref), 1e-4)
+          << asura::pikg::isaName(isa) << " ni=" << ni << " nj=" << nj;
+    }
   }
 }
 

@@ -6,13 +6,12 @@
 /// ARM SVE intrinsics is about 500 lines"); here the backends are scalar,
 /// AVX2 and AVX-512. Output:
 ///
-///   pikg_gravity.hpp            — legacy AoS test header (tests/benchmarks)
-///   pikg_kernels.hpp            — production SoA declarations + PPA tables
+///   pikg_kernels.hpp            — SoA kernel declarations + PPA tables
 ///   pikg_kernels_scalar.cpp     — scalar reference TU
 ///   pikg_kernels_avx2.cpp       — AVX2 TU (built with -mavx2 -mfma)
 ///   pikg_kernels_avx512.cpp     — AVX-512 TU (built with -mavx512f)
 ///
-/// The production TUs are compiled into the main library and dispatched at
+/// The TUs are compiled into the main library and dispatched at
 /// runtime by kernels/registry.hpp. Output is deterministic: running the
 /// generator twice produces byte-identical files (CI diffs two runs).
 
