@@ -48,6 +48,7 @@ SourceTree& StepContext::gravityTree(std::span<const Particle> particles,
     sources.insert(sources.end(), let_entries.begin(), let_entries.end());
     gravity_tree_.build(std::move(sources), leaf_size);
     gravity_tree_valid_ = true;
+    gravity_groups_valid_ = false;  // cut from the previous tree's order
     gravity_n_ = particles.size();
     gravity_let_n_ = let_entries.size();
     gravity_let_epoch_ = let_epoch_;
@@ -63,6 +64,7 @@ SourceTree& StepContext::gasTree(std::span<const Particle> work, int leaf_size) 
   if (!gas_tree_valid_ || gas_n_ != work.size() || gas_leaf_ != leaf_size) {
     gas_tree_.build(makeSourceEntries(work, /*gas_only=*/true), leaf_size);
     gas_tree_valid_ = true;
+    gas_groups_valid_ = false;  // cut from the previous tree's order
     gas_n_ = work.size();
     gas_leaf_ = leaf_size;
     ++builds_step_;
@@ -72,26 +74,25 @@ SourceTree& StepContext::gasTree(std::span<const Particle> work, int leaf_size) 
 }
 
 const std::vector<TargetGroup>& StepContext::gravityGroups(
-    std::span<const Particle> particles, int group_size) {
-  if (!gravity_groups_valid_ || gravity_grp_n_ != particles.size() ||
-      gravity_gs_ != group_size) {
-    gravity_groups_ = makeTargetGroups(particles, group_size);
+    std::span<const Particle> particles, std::span<const SourceEntry> let_entries,
+    int leaf_size, int group_size) {
+  const SourceTree& tree = gravityTree(particles, let_entries, leaf_size);
+  if (!gravity_groups_valid_ || gravity_gs_ != group_size) {
+    gravity_groups_ = makeTargetGroups(tree, particles, group_size);
     gravity_groups_valid_ = true;
-    gravity_grp_n_ = particles.size();
     gravity_gs_ = group_size;
   }
   return gravity_groups_;
 }
 
 const std::vector<TargetGroup>& StepContext::gasGroups(std::span<const Particle> work,
-                                                       std::size_t n_local,
+                                                       std::size_t n_local, int leaf_size,
                                                        int group_size) {
   n_local = std::min(n_local, work.size());
-  if (!gas_groups_valid_ || gas_grp_n_ != work.size() || gas_grp_local_ != n_local ||
-      gas_gs_ != group_size) {
-    gas_groups_ = makeGasTargetGroups(work.subspan(0, n_local), group_size);
+  const SourceTree& tree = gasTree(work, leaf_size);
+  if (!gas_groups_valid_ || gas_grp_local_ != n_local || gas_gs_ != group_size) {
+    gas_groups_ = makeGasTargetGroups(tree, work.subspan(0, n_local), group_size);
     gas_groups_valid_ = true;
-    gas_grp_n_ = work.size();
     gas_grp_local_ = n_local;
     gas_gs_ = group_size;
   }

@@ -9,7 +9,8 @@
 /// the end of the step. StepContext owns the trees, the Morton-sorted
 /// target groups and the per-thread scratch arenas, so each force pass
 /// builds each tree at most once and the second pass reuses the first
-/// pass's trees outright when nothing moved.
+/// pass's trees outright when nothing moved. Full-set target groups are cut
+/// from their tree's Morton order, so each rebuild costs one sort.
 ///
 /// # Pipeline invariants (the contract every caller relies on)
 ///
@@ -181,14 +182,20 @@ class StepContext {
   /// Gas-only tree over the working array (locals + ghosts).
   SourceTree& gasTree(std::span<const Particle> work, int leaf_size);
 
-  /// Morton-ordered target groups over all particles (gravity targets).
+  /// Gravity target groups over all `particles`, cut from the sorted
+  /// entries of gravityTree(particles, let_entries, leaf_size) (built here
+  /// if needed), so a rebuild costs one sort for the tree and its groups.
+  /// Valid until the tree rebuilds or positions change.
   const std::vector<TargetGroup>& gravityGroups(std::span<const Particle> particles,
-                                                int group_size);
+                                                std::span<const SourceEntry> let_entries,
+                                                int leaf_size, int group_size);
 
-  /// h-homogeneous gas target groups over the local prefix
-  /// (makeGasTargetGroups).
+  /// h-homogeneous gas target groups over the local prefix, cut from the
+  /// sorted entries of gasTree(work, leaf_size) (built here if needed; the
+  /// ghost entries past n_local are skipped).
   const std::vector<TargetGroup>& gasGroups(std::span<const Particle> work,
-                                            std::size_t n_local, int group_size);
+                                            std::size_t n_local, int leaf_size,
+                                            int group_size);
 
   /// Propagate updated Particle::h into the cached gas tree (entry h and
   /// node max_h) — an O(N + nodes) sweep instead of a rebuild.
@@ -199,17 +206,20 @@ class StepContext {
   /// instead of invalidating. Topology and Morton order stay from the last
   /// build, so per-sub-step cost is a sweep, not a sort. The cached
   /// *full-set* target groups are invalidated (their bboxes went stale) and
-  /// rebuilt lazily on next request — the sub-step loop itself walks the
-  /// per-call active groups below, whose bboxes are always current. A
+  /// rebuilt lazily on next request; since the tree's order no longer
+  /// matches the positions, that rebuild sorts the targets itself. The
+  /// sub-step loop walks the per-call active groups below, whose bboxes
+  /// are always current. A
   /// gravity tree holding LET imports cannot be position-refreshed (the
   /// import set has no local backing array) and is invalidated instead.
   void refreshGravityPositions(std::span<const Particle> particles);
   void refreshGasPositions(std::span<const Particle> work);
 
-  /// Morton-ordered target groups over an explicit active subset (indices
-  /// into the particle array), built into member storage to keep the
-  /// allocation churn bounded; the reference is valid until the next call
-  /// on the same slot. Gravity and gas actives use separate slots so one
+  /// Target groups over an explicit active subset (indices into the
+  /// particle array), Morton-sorted by their current positions (the cached
+  /// trees' order goes stale under the in-place refreshes), built into
+  /// member storage to keep the allocation churn bounded; the reference is
+  /// valid until the next call on the same slot. Gravity and gas actives use separate slots so one
   /// sub-step can hold both; the gas slot groups h-homogeneously like
   /// gasGroups(). The gas slot caches by subset *content*: the
   /// density and hydro-force passes of one sub-step call with the same
@@ -336,7 +346,7 @@ class StepContext {
   // Build-parameter fingerprints for the mismatch guard.
   std::size_t gravity_n_ = 0, gravity_let_n_ = 0, gas_n_ = 0;
   std::uint64_t gravity_let_epoch_ = 0;  ///< let_epoch_ the tree was built at
-  std::size_t gravity_grp_n_ = 0, gas_grp_n_ = 0, gas_grp_local_ = 0;
+  std::size_t gas_grp_local_ = 0;
   int gravity_leaf_ = 0, gas_leaf_ = 0, gravity_gs_ = 0, gas_gs_ = 0;
 
   std::vector<ThreadArena> arenas_;

@@ -94,28 +94,31 @@ struct RadixBuffers {
   std::vector<std::uint32_t>& counts;  ///< flat [thread][bucket] histogram
 };
 
-/// Core of the stable LSD radix sort: 13-bit digits (5 passes cover 64
-/// bits; passes over constant digits are skipped). `keys_io` is consumed
-/// and holds the sorted keys on return. `emit(dst, src)` is called exactly
-/// once per element with its final rank and original index — callers fuse
-/// their permutation-apply into the last scatter pass instead of gathering
+/// Core of the stable LSD radix sort. Below kRadixSerialBelow keys it runs
+/// serially on 11-bit digits and counts every pass's histogram in one sweep
+/// (digit counts do not depend on the order the keys are in); larger sets
+/// run OpenMP-parallel 13-bit passes, each with per-thread histograms.
+/// Passes over constant digits are skipped. `keys_io` is consumed and holds
+/// the sorted keys on return. `emit(dst, src)` is called exactly once per
+/// element with its final rank and original index — callers fuse their
+/// permutation-apply into the last scatter pass instead of gathering
 /// through a materialized order array.
 template <class Emit>
 void radixSortCore(std::vector<std::uint64_t>& keys_io, RadixBuffers buf, Emit&& emit) {
-  constexpr int kDigitBits = 13;
-  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-  constexpr int kPasses = (64 + kDigitBits - 1) / kDigitBits;
-
   const std::size_t n = keys_io.size();
+  const bool serial = n < kRadixSerialBelow;
+  const int digit_bits = serial ? 11 : 13;
+  const std::size_t buckets = std::size_t{1} << digit_bits;
+  const std::uint64_t mask = buckets - 1;
+  const int passes = (64 + digit_bits - 1) / digit_bits;
 
   // Only digits whose bits actually vary across the key set need a pass.
   std::uint64_t varying = 0;
   for (const auto k : keys_io) varying |= k ^ keys_io[0];
 
   int last_pass = -1;
-  for (int pass = 0; pass < kPasses; ++pass) {
-    const std::uint64_t mask = (kBuckets - 1) << (kDigitBits * pass);
-    if ((varying & mask) != 0) last_pass = pass;
+  for (int pass = 0; pass < passes; ++pass) {
+    if (((varying >> (digit_bits * pass)) & mask) != 0) last_pass = pass;
   }
   if (last_pass < 0) {
     // All keys equal: identity permutation, keys already "sorted".
@@ -134,12 +137,31 @@ void radixSortCore(std::vector<std::uint64_t>& keys_io, RadixBuffers buf, Emit&&
   std::vector<std::uint32_t>* ib = &buf.ib;
   bool identity = true;
 
-  const int nt = std::max(1, std::min<int>(ompMaxThreads(), static_cast<int>((n + 4095) / 4096)));
-  buf.counts.resize(static_cast<std::size_t>(nt) * kBuckets);
+  const int nt =
+      serial ? 1
+             : std::max(1, std::min<int>(ompMaxThreads(), static_cast<int>((n + 4095) / 4096)));
+  if (serial) {
+    buf.counts.assign(static_cast<std::size_t>(last_pass + 1) * buckets, 0u);
+    for (const auto k : keys_io) {
+      for (int pass = 0; pass <= last_pass; ++pass) {
+        ++buf.counts[static_cast<std::size_t>(pass) * buckets + ((k >> (digit_bits * pass)) & mask)];
+      }
+    }
+    for (int pass = 0; pass <= last_pass; ++pass) {
+      std::uint32_t* cnt = buf.counts.data() + static_cast<std::size_t>(pass) * buckets;
+      std::uint32_t sum = 0;
+      for (std::size_t d = 0; d < buckets; ++d) {
+        const std::uint32_t v = cnt[d];
+        cnt[d] = sum;
+        sum += v;
+      }
+    }
+  } else {
+    buf.counts.resize(static_cast<std::size_t>(nt) * buckets);
+  }
 
   for (int pass = 0; pass <= last_pass; ++pass) {
-    const int shift = kDigitBits * pass;
-    const std::uint64_t mask = kBuckets - 1;
+    const int shift = digit_bits * pass;
     if (((varying >> shift) & mask) == 0) continue;  // constant digit
     const bool final_pass = pass == last_pass;
     const auto& src_keys = *ka;
@@ -147,36 +169,8 @@ void radixSortCore(std::vector<std::uint64_t>& keys_io, RadixBuffers buf, Emit&&
     auto& dst_keys = *kb;
     auto& dst_idx = *ib;
 
-#pragma omp parallel num_threads(nt)
-    {
-      // The runtime may deliver fewer than nt threads (dynamic adjustment,
-      // thread limits); partition by the team size actually granted.
-      const int team = ompTeamSize();
-      const int tid = ompThreadId();
-      const std::size_t lo = n * static_cast<std::size_t>(tid) / static_cast<std::size_t>(team);
-      const std::size_t hi =
-          n * (static_cast<std::size_t>(tid) + 1) / static_cast<std::size_t>(team);
-      std::uint32_t* cnt = buf.counts.data() + static_cast<std::size_t>(tid) * kBuckets;
-      std::fill(cnt, cnt + kBuckets, 0u);
-      for (std::size_t i = lo; i < hi; ++i) ++cnt[(src_keys[i] >> shift) & mask];
-
-#pragma omp barrier
-#pragma omp single
-      {
-        // Exclusive scan, digit-major / thread-minor: thread t's run of digit
-        // d lands after every lower digit and after threads < t's runs of d,
-        // which is exactly the stable ordering.
-        std::uint32_t sum = 0;
-        for (std::size_t d = 0; d < kBuckets; ++d) {
-          for (int t = 0; t < team; ++t) {
-            std::uint32_t& c = buf.counts[static_cast<std::size_t>(t) * kBuckets + d];
-            const std::uint32_t v = c;
-            c = sum;
-            sum += v;
-          }
-        }
-      }
-
+    // Stable scatter of elements [lo, hi) through the running offsets `cnt`.
+    const auto scatter = [&](std::size_t lo, std::size_t hi, std::uint32_t* cnt) {
       if (final_pass) {
         for (std::size_t i = lo; i < hi; ++i) {
           const std::uint32_t dst = cnt[(src_keys[i] >> shift) & mask]++;
@@ -195,6 +189,43 @@ void radixSortCore(std::vector<std::uint64_t>& keys_io, RadixBuffers buf, Emit&&
           dst_keys[dst] = src_keys[i];
           dst_idx[dst] = src_idx[i];
         }
+      }
+    };
+
+    if (serial) {
+      scatter(0, n, buf.counts.data() + static_cast<std::size_t>(pass) * buckets);
+    } else {
+#pragma omp parallel num_threads(nt)
+      {
+        // The runtime may deliver fewer than nt threads (dynamic adjustment,
+        // thread limits); partition by the team size actually granted.
+        const int team = ompTeamSize();
+        const int tid = ompThreadId();
+        const std::size_t lo =
+            n * static_cast<std::size_t>(tid) / static_cast<std::size_t>(team);
+        const std::size_t hi =
+            n * (static_cast<std::size_t>(tid) + 1) / static_cast<std::size_t>(team);
+        std::uint32_t* cnt = buf.counts.data() + static_cast<std::size_t>(tid) * buckets;
+        std::fill(cnt, cnt + buckets, 0u);
+        for (std::size_t i = lo; i < hi; ++i) ++cnt[(src_keys[i] >> shift) & mask];
+
+#pragma omp barrier
+#pragma omp single
+        {
+          // Exclusive scan, digit-major / thread-minor: thread t's run of
+          // digit d lands after every lower digit and after threads < t's
+          // runs of d, which is exactly the stable ordering.
+          std::uint32_t sum = 0;
+          for (std::size_t d = 0; d < buckets; ++d) {
+            for (int t = 0; t < team; ++t) {
+              std::uint32_t& c = buf.counts[static_cast<std::size_t>(t) * buckets + d];
+              const std::uint32_t v = c;
+              c = sum;
+              sum += v;
+            }
+          }
+        }
+        scatter(lo, hi, cnt);
       }
     }
     std::swap(ka, kb);
@@ -511,6 +542,7 @@ void SourceTree::computeMoments() {
 }
 
 void SourceTree::refreshPositions(std::span<const Particle> particles) {
+  keys_.clear();  // the entry order is no longer the Morton order of the positions
   const auto n_entries = static_cast<std::int64_t>(entries_.size());
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < n_entries; ++i) {
@@ -677,72 +709,121 @@ void SourceTree::exportLet(const Box& remote_box, double theta,
 
 namespace {
 
-/// Shared tail of every makeTargetGroups/makeGasTargetGroups overload:
-/// Morton-sort `sel` by the particles' current positions and cut the sorted
-/// run into groups of at most group_size. With `h_aware` a group also closes
-/// before a member that would stretch its box's longest side past
-/// kGasGroupExtentPerH times the smallest support H among its members.
-std::vector<TargetGroup> groupsFromSelection(std::span<const Particle> particles,
-                                             std::span<const std::uint32_t> sel,
-                                             const Box& all, int group_size,
-                                             bool h_aware) {
-  std::vector<TargetGroup> groups;
-  if (sel.empty()) return groups;
-  const Box cube = all.boundingCube();
-  // Keys are computed once into a buffer — the old comparator re-derived the
-  // Morton key on every comparison (O(N log N) key evaluations).
-  std::vector<std::uint64_t> keys(sel.size());
+/// Targets in Morton order: members[k] indexes the particle array and
+/// keys[k] is its Morton key, non-decreasing in k.
+struct SortedTargets {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> members;
+};
+
+/// Morton-sort `sel` by the particles' current positions in the cube around
+/// `box` (stable: equal keys keep their order in `sel`).
+SortedTargets sortTargets(std::span<const Particle> particles,
+                          std::span<const std::uint32_t> sel, const Box& box) {
+  SortedTargets out;
+  if (sel.empty()) return out;
+  const Box cube = box.boundingCube();
+  out.keys.resize(sel.size());
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < sel.size(); ++i) {
-    keys[i] = mortonKey(particles[sel[i]].pos, cube);
+    out.keys[i] = mortonKey(particles[sel[i]].pos, cube);
   }
-  // Persistent scratch: grouping runs twice per step, so keep its sort
-  // working set warm like the tree's (called from serial code only).
+  // Persistent scratch: the active-set passes sort every sub-step, so keep
+  // the sort working set warm like the tree's (called from serial code only).
   thread_local std::vector<std::uint64_t> kb;
   thread_local std::vector<std::uint32_t> ia, ib, counts;
-  std::vector<std::uint32_t> sorted_sel(sel.size());
-  radixSortCore(keys, {kb, ia, ib, counts},
-                [&](std::size_t dst, std::uint32_t src) { sorted_sel[dst] = sel[src]; });
+  out.members.resize(sel.size());
+  radixSortCore(out.keys, {kb, ia, ib, counts},
+                [&](std::size_t dst, std::uint32_t src) { out.members[dst] = sel[src]; });
+  return out;
+}
 
-  // Group boundaries: fixed-size chunks, or one serial sweep that grows each
-  // run until it is full or would outgrow its smallest member's support.
+/// The targets among `tree`'s entries, in entry order: the entries that
+/// index into a particle array of `n_targets` (LET multipoles and ghosts
+/// past the locals are skipped). The tree's keys must be current.
+SortedTargets treeTargets(const SourceTree& tree, std::size_t n_targets) {
+  SortedTargets out;
+  const auto& entries = tree.entries();
+  const auto& keys = tree.keys();
+  out.keys.reserve(entries.size());
+  out.members.reserve(entries.size());
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const SourceEntry& e = entries[k];
+    if (e.isMultipole() || e.idx >= n_targets) continue;
+    out.keys.push_back(keys[k]);
+    out.members.push_back(e.idx);
+  }
+  return out;
+}
+
+/// Whether `tree` still holds the Morton order of its entries' positions.
+bool orderCurrent(const SourceTree& tree) {
+  return tree.keys().size() == tree.entries().size();
+}
+
+/// Gravity group boundaries: fixed runs of group_size along the curve.
+std::vector<std::size_t> gravityStarts(const SortedTargets& t, int group_size) {
   const auto gs = static_cast<std::size_t>(std::max(group_size, 1));
   std::vector<std::size_t> starts;
-  if (!h_aware) {
-    for (std::size_t off = 0; off < sorted_sel.size(); off += gs) starts.push_back(off);
-  } else {
-    Box box;
-    double h_min = 0.0;
-    for (std::size_t k = 0; k < sorted_sel.size(); ++k) {
-      const Particle& p = particles[sorted_sel[k]];
-      Box grown = box;
-      grown.extend(p.pos);
-      const double h_grown = std::min(h_min, p.h);
-      const Vec3d e = grown.extent();
-      if (starts.empty() || k - starts.back() == gs ||
-          std::max({e.x, e.y, e.z}) > kGasGroupExtentPerH * h_grown) {
-        starts.push_back(k);
-        box = Box{};
-        box.extend(p.pos);
-        h_min = p.h;
-      } else {
-        box = grown;
-        h_min = h_grown;
-      }
+  for (std::size_t off = 0; off < t.members.size(); off += gs) starts.push_back(off);
+  return starts;
+}
+
+/// Gas group boundaries: one serial sweep grows each run until it holds
+/// group_size members or the next member would stretch its box's longest
+/// side past kGasGroupExtentPerH times the smallest support H among them.
+std::vector<std::size_t> gasStarts(std::span<const Particle> particles,
+                                   const SortedTargets& t, int group_size) {
+  const auto gs = static_cast<std::size_t>(std::max(group_size, 1));
+  std::vector<std::size_t> starts;
+  Box box;
+  double h_min = 0.0;
+  for (std::size_t k = 0; k < t.members.size(); ++k) {
+    const Particle& p = particles[t.members[k]];
+    Box grown = box;
+    grown.extend(p.pos);
+    const double h_grown = std::min(h_min, p.h);
+    const Vec3d e = grown.extent();
+    if (starts.empty() || k - starts.back() == gs ||
+        std::max({e.x, e.y, e.z}) > kGasGroupExtentPerH * h_grown) {
+      starts.push_back(k);
+      box = Box{};
+      box.extend(p.pos);
+      h_min = p.h;
+    } else {
+      box = grown;
+      h_min = h_grown;
     }
   }
+  return starts;
+}
 
-  groups.resize(starts.size());
+/// Materialize groups from run boundaries over the sorted members, each
+/// with the tight box of its members.
+std::vector<TargetGroup> groupsFromStarts(std::span<const Particle> particles,
+                                          const SortedTargets& t,
+                                          const std::vector<std::size_t>& starts) {
+  std::vector<TargetGroup> groups(starts.size());
 #pragma omp parallel for schedule(static)
   for (std::size_t g = 0; g < groups.size(); ++g) {
     TargetGroup& grp = groups[g];
     const std::size_t off = starts[g];
-    const std::size_t end = g + 1 < starts.size() ? starts[g + 1] : sorted_sel.size();
-    grp.indices.assign(sorted_sel.begin() + static_cast<std::ptrdiff_t>(off),
-                       sorted_sel.begin() + static_cast<std::ptrdiff_t>(end));
+    const std::size_t end = g + 1 < starts.size() ? starts[g + 1] : t.members.size();
+    grp.indices.assign(t.members.begin() + static_cast<std::ptrdiff_t>(off),
+                       t.members.begin() + static_cast<std::ptrdiff_t>(end));
     for (const std::uint32_t i : grp.indices) grp.bbox.extend(particles[i].pos);
   }
   return groups;
+}
+
+std::vector<TargetGroup> gravityGroupsOf(std::span<const Particle> particles,
+                                         const SortedTargets& t, int group_size) {
+  return groupsFromStarts(particles, t, gravityStarts(t, group_size));
+}
+
+std::vector<TargetGroup> gasGroupsOf(std::span<const Particle> particles,
+                                     const SortedTargets& t, int group_size) {
+  return groupsFromStarts(particles, t, gasStarts(particles, t, group_size));
 }
 
 /// Bounding box of the particles named by `subset`. Recomputed every
@@ -779,14 +860,22 @@ std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
   std::iota(sel.begin(), sel.end(), 0u);
   Box all;
   for (const Particle& p : particles) all.extend(p.pos);
-  return groupsFromSelection(particles, sel, all, group_size, /*h_aware=*/false);
+  return gravityGroupsOf(particles, sortTargets(particles, sel, all), group_size);
 }
 
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
                                           std::span<const std::uint32_t> subset,
                                           int group_size) {
-  return groupsFromSelection(particles, subset, subsetBox(particles, subset), group_size,
-                             /*h_aware=*/false);
+  return gravityGroupsOf(particles,
+                         sortTargets(particles, subset, subsetBox(particles, subset)),
+                         group_size);
+}
+
+std::vector<TargetGroup> makeTargetGroups(const SourceTree& tree,
+                                          std::span<const Particle> particles,
+                                          int group_size) {
+  if (!orderCurrent(tree)) return makeTargetGroups(particles, group_size);
+  return gravityGroupsOf(particles, treeTargets(tree, particles.size()), group_size);
 }
 
 std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
@@ -798,14 +887,21 @@ std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles
     sel.push_back(i);
     all.extend(particles[i].pos);
   }
-  return groupsFromSelection(particles, sel, all, group_size, /*h_aware=*/true);
+  return gasGroupsOf(particles, sortTargets(particles, sel, all), group_size);
 }
 
 std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
                                              std::span<const std::uint32_t> subset,
                                              int group_size) {
-  return groupsFromSelection(particles, subset, subsetBox(particles, subset), group_size,
-                             /*h_aware=*/true);
+  return gasGroupsOf(particles, sortTargets(particles, subset, subsetBox(particles, subset)),
+                     group_size);
+}
+
+std::vector<TargetGroup> makeGasTargetGroups(const SourceTree& tree,
+                                             std::span<const Particle> particles,
+                                             int group_size) {
+  if (!orderCurrent(tree)) return makeGasTargetGroups(particles, group_size);
+  return gasGroupsOf(particles, treeTargets(tree, particles.size()), group_size);
 }
 
 std::vector<SourceEntry> makeSourceEntries(std::span<const Particle> particles,

@@ -14,10 +14,13 @@
 ///     - LET export walks for remote domain boxes (in let.hpp).
 ///
 /// The group-wise traversal ("interaction list shared by n_g particles",
-/// §5.2.4) is realized by chunking Morton-sorted local particles into target
-/// groups; the same n_g knob trades list length against walk cost exactly as
+/// §5.2.4) walks once per target group. Gravity groups are octree cells of
+/// at most n_g targets, as FDPS forms its i-groups; they are cut from the
+/// Morton order the tree build already sorted, so a tree costs one sort.
+/// The same n_g knob trades list length against walk cost exactly as
 /// discussed in the paper.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -104,6 +107,10 @@ class SourceTree {
   void refreshPositions(std::span<const Particle> particles);
 
   [[nodiscard]] const std::vector<SourceEntry>& entries() const { return entries_; }
+  /// The Morton keys entries() were sorted by, parallel to entries(). Empty
+  /// once refreshPositions() has moved the entries: the entry order is then
+  /// no longer the Morton order of the current positions.
+  [[nodiscard]] const std::vector<std::uint64_t>& keys() const { return keys_; }
   /// SoA mirror of the entry positions and supports, in entry order.
   [[nodiscard]] const std::vector<double>& entryX() const { return soa_x_; }
   [[nodiscard]] const std::vector<double>& entryY() const { return soa_y_; }
@@ -182,15 +189,16 @@ class SourceTree {
   std::vector<SourceEntry> entry_scratch_;
 };
 
-/// A contiguous chunk of Morton-sorted local targets sharing one interaction
-/// list (the paper's n_g grouping).
+/// A run of Morton-sorted local targets sharing one interaction list (the
+/// paper's n_g grouping).
 struct TargetGroup {
-  Box bbox;
+  Box bbox;                            ///< tight box of the members
   std::vector<std::uint32_t> indices;  ///< indices into the particle array
 };
 
-/// Chunk `particles` into groups of at most `group_size`, contiguous in
-/// Morton order (gravity targets).
+/// Gravity target groups over `particles`, Morton-sorted by their current
+/// positions: every group is a contiguous run of the sorted order holding at
+/// most `group_size` targets.
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
                                           int group_size);
 
@@ -198,9 +206,20 @@ std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
 /// (indices into `particles`), Morton-sorted by their *current* positions so
 /// group bboxes are exact even while the cached source trees run on
 /// refreshed-in-place moments. This is what the block-timestep sub-steps use
-/// to walk only the active rungs.
+/// to walk only the active rungs. For an all-active subset in ascending
+/// order the groups equal the full-set ones.
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
                                           std::span<const std::uint32_t> subset,
+                                          int group_size);
+
+/// Full-set variant cut from `tree`'s sorted entries instead of a sort of
+/// its own: the targets are the tree entries that index into `particles`
+/// (LET imports and ghosts past its end are skipped). A tree built over
+/// exactly `particles` yields the groups makeTargetGroups(particles,
+/// group_size) would; a tree whose order went stale under refreshPositions()
+/// falls back to that sort.
+std::vector<TargetGroup> makeTargetGroups(const SourceTree& tree,
+                                          std::span<const Particle> particles,
                                           int group_size);
 
 /// Longest box side, in units of the smallest member support H, that an SPH
@@ -225,11 +244,24 @@ std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles
                                              std::span<const std::uint32_t> subset,
                                              int group_size);
 
+/// Full-set variant cut from the gas `tree`'s sorted entries (see the
+/// tree overload of makeTargetGroups); the targets are the gas entries that
+/// index into `particles`.
+std::vector<TargetGroup> makeGasTargetGroups(const SourceTree& tree,
+                                             std::span<const Particle> particles,
+                                             int group_size);
+
 /// Convenience: build gravity source entries from local particles.
 std::vector<SourceEntry> makeSourceEntries(std::span<const Particle> particles,
                                            bool gas_only = false);
 
-/// Stable parallel LSD radix sort: fill `order` with a permutation such that
+/// Key counts below which the radix sort runs serially on 11-bit digits
+/// (six passes, every histogram built in one sweep); from here on it runs
+/// the OpenMP-parallel 13-bit passes. Below this size the parallel passes
+/// spend more on their 8192-bucket scans and team start-ups than on keys.
+inline constexpr std::size_t kRadixSerialBelow = std::size_t{1} << 17;
+
+/// Stable LSD radix sort: fill `order` with a permutation such that
 /// keys[order[i]] is non-decreasing and ties keep ascending original index —
 /// exactly the ordering of the comparator-based indirect std::sort it
 /// replaces, at O(N) instead of O(N log N) key comparisons. Exposed for the

@@ -215,8 +215,9 @@ GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> p
 
   const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
+  const auto& groups =
+      ctx.gravityGroups(particles, let_entries, params.leaf_size, params.group_size);
   const fdps::SourceTree& tree = ctx.gravityTree(particles, let_entries, params.leaf_size);
-  const auto& groups = ctx.gravityGroups(particles, params.group_size);
   stats.t_build = util::wtime() - t0;
   stats.tree_builds = ctx.buildsThisStep() - builds_before;
   gravityOverGroups(ctx, tree, groups, particles, params, stats);

@@ -431,11 +431,13 @@ DensityStats solveDensity(std::span<Particle> work, std::size_t n_local,
 
 DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
                           std::size_t n_local, const SphParams& params) {
+  const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
-  const auto& groups = ctx.gasGroups(work, n_local, params.group_size);
+  const auto& groups = ctx.gasGroups(work, n_local, params.leaf_size, params.group_size);
   const double t_groups = util::wtime() - t0;
   DensityStats stats = solveDensity(ctx, work, params, groups);
   stats.t_build += t_groups;
+  stats.tree_builds = ctx.buildsThisStep() - builds_before;
   return stats;
 }
 
@@ -476,11 +478,13 @@ ForceStats accumulateHydroForce(std::span<Particle> work, std::size_t n_local,
 ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
                                 std::size_t n_local, const SphParams& params,
                                 std::vector<std::uint64_t>* wake_out) {
+  const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
-  const auto& groups = ctx.gasGroups(work, n_local, params.group_size);
+  const auto& groups = ctx.gasGroups(work, n_local, params.leaf_size, params.group_size);
   const double t_groups = util::wtime() - t0;
   ForceStats stats = accumulateHydroForce(ctx, work, params, groups, wake_out);
   stats.t_build += t_groups;
+  stats.tree_builds = ctx.buildsThisStep() - builds_before;
   return stats;
 }
 
