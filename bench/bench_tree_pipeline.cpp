@@ -1,9 +1,11 @@
-// Once-per-pass tree pipeline benchmark: radix-sorted parallel build vs the
-// seed's comparator-based std::sort build, Morton target grouping with
-// precomputed keys vs the key-recomputing comparator, tree walks, the SPH
-// neighbour search on plain vs h-aware gas groups (prefilter candidates per
-// interaction reported as counters), and the end-to-end Simulation::step
-// with the StepContext cache (tree-build counter reported alongside).
+// Once-per-pass tree pipeline benchmark: the radix-sorted parallel tree
+// build, Morton target grouping, gravity on octree-cell groups against
+// direct summation (interactions per target and force-error counters per
+// group_size), the SPH neighbour search on cell vs h-aware gas groups
+// (prefilter candidates per interaction reported as counters), and the
+// end-to-end Simulation::step with the StepContext cache (tree-build
+// counter reported alongside). The seed's std::sort build and comparator
+// grouping rows are kept as numbers in BENCH_tree_pipeline.json.
 //
 // Machine-readable output for the perf trajectory:
 //   bench_tree_pipeline --benchmark_format=json > BENCH_tree_pipeline.json
@@ -17,17 +19,15 @@
 
 #include "core/simulation.hpp"
 #include "fdps/context.hpp"
-#include "fdps/morton.hpp"
 #include "fdps/tree.hpp"
 #include "gravity/gravity.hpp"
 #include "sph/sph.hpp"
+#include "../tests/ic_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using asura::fdps::Box;
 using asura::fdps::Particle;
-using asura::fdps::SourceEntry;
 using asura::fdps::SourceTree;
 using asura::fdps::Species;
 using asura::util::Pcg32;
@@ -51,92 +51,8 @@ std::vector<Particle> randomParticles(int n, std::uint64_t seed, double box = 10
 }
 
 // ---------------------------------------------------------------------------
-// Reference: the seed's build algorithm (comparator-based indirect std::sort
-// + per-node recursive moment summation), kept here so the speedup stays
-// measurable after the production code moved on.
-// ---------------------------------------------------------------------------
-
-struct LegacyTree {
-  std::vector<SourceEntry> entries;
-  std::vector<std::uint64_t> keys;
-  struct Node {
-    Box bbox;
-    double mass = 0.0;
-    Vec3d com{};
-    std::uint32_t first = 0, count = 0;
-  };
-  std::vector<Node> nodes;
-
-  void build(std::vector<SourceEntry> in, int leaf_size) {
-    entries = std::move(in);
-    nodes.clear();
-    keys.clear();
-    if (entries.empty()) return;
-    Box all;
-    for (const auto& e : entries) all.extend(e.pos);
-    const Box cube = all.boundingCube();
-    keys.resize(entries.size());
-    std::vector<std::uint32_t> order(entries.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::vector<std::uint64_t> raw(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      raw[i] = asura::fdps::mortonKey(entries[i].pos, cube);
-    }
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return raw[a] < raw[b] || (raw[a] == raw[b] && a < b);
-    });
-    std::vector<SourceEntry> sorted(entries.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      sorted[i] = entries[order[i]];
-      keys[i] = raw[order[i]];
-    }
-    entries = std::move(sorted);
-    buildNode(0, static_cast<std::uint32_t>(entries.size()), 0, std::max(leaf_size, 1));
-  }
-
-  void buildNode(std::uint32_t first, std::uint32_t count, int level, int leaf_size) {
-    Node n;
-    n.first = first;
-    n.count = count;
-    // Seed behaviour: every node re-sums its whole entry range (O(N depth)).
-    for (std::uint32_t i = first; i < first + count; ++i) {
-      n.bbox.extend(entries[i].pos);
-      n.mass += entries[i].mass;
-      n.com += entries[i].mass * entries[i].pos;
-    }
-    if (n.mass > 0.0) n.com /= n.mass;
-    nodes.push_back(n);
-    if (static_cast<int>(count) <= leaf_size || level >= asura::fdps::kMortonMaxLevel) {
-      return;
-    }
-    std::uint32_t pos = first;
-    for (unsigned oct = 0; oct < 8; ++oct) {
-      const std::uint32_t cf = pos;
-      while (pos < first + count &&
-             asura::fdps::octantAtLevel(keys[pos], level) == oct) {
-        ++pos;
-      }
-      if (pos > cf) buildNode(cf, pos - cf, level + 1, leaf_size);
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Tree build
 // ---------------------------------------------------------------------------
-
-void BM_TreeBuildLegacyStdSort(benchmark::State& state) {
-  const auto parts = randomParticles(static_cast<int>(state.range(0)), 42);
-  const auto entries = asura::fdps::makeSourceEntries(parts);
-  LegacyTree tree;
-  for (auto _ : state) {
-    auto copy = entries;
-    tree.build(std::move(copy), 16);
-    benchmark::DoNotOptimize(tree.nodes.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TreeBuildLegacyStdSort)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_TreeBuildRadix(benchmark::State& state) {
   const auto parts = randomParticles(static_cast<int>(state.range(0)), 42);
@@ -154,25 +70,6 @@ BENCHMARK(BM_TreeBuildRadix)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisec
 // ---------------------------------------------------------------------------
 // Target grouping
 // ---------------------------------------------------------------------------
-
-void BM_TargetGroupsLegacyComparator(benchmark::State& state) {
-  const auto parts = randomParticles(static_cast<int>(state.range(0)), 7);
-  for (auto _ : state) {
-    // Seed behaviour: mortonKey re-derived inside the comparator.
-    std::vector<std::uint32_t> sel(parts.size());
-    std::iota(sel.begin(), sel.end(), 0u);
-    Box all;
-    for (const auto& p : parts) all.extend(p.pos);
-    const Box cube = all.boundingCube();
-    std::sort(sel.begin(), sel.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return asura::fdps::mortonKey(parts[a].pos, cube) <
-             asura::fdps::mortonKey(parts[b].pos, cube);
-    });
-    benchmark::DoNotOptimize(sel.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TargetGroupsLegacyComparator)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_TargetGroupsRadix(benchmark::State& state) {
   const auto parts = randomParticles(static_cast<int>(state.range(0)), 7);
@@ -213,8 +110,46 @@ void BM_GravityCachedContext(benchmark::State& state) {
 }
 BENCHMARK(BM_GravityCachedContext)->Arg(30000)->Unit(benchmark::kMillisecond);
 
+/// One gravity force evaluation (tree build, cell-group cut, walk and
+/// kernel, as a fresh force pass does) on the clumpy disc at the MW-mini
+/// workload's theta = 0.6, for group_size = range(1). The counters give the
+/// interactions each target costs and the relative force error against
+/// direct summation (computed once, outside the timed loop).
+void BM_GravityGroups(benchmark::State& state) {
+  const auto initial = asura::testing::clumpyDisc(static_cast<int>(state.range(0)), 1);
+  auto reference = initial;
+  asura::gravity::accumulateDirect(reference, asura::fdps::makeSourceEntries(reference),
+                                   asura::gravity::GravityParams{}.G);
+  asura::gravity::GravityParams gp;
+  gp.theta = 0.6;
+  gp.group_size = static_cast<int>(state.range(1));
+  auto parts = initial;
+  asura::gravity::GravityStats stats;
+  for (auto _ : state) {
+    for (auto& p : parts) { p.acc = Vec3d{}; p.pot = 0.0; }
+    stats = asura::gravity::accumulateTreeGravity(parts, {}, gp);
+    benchmark::DoNotOptimize(parts.data());
+  }
+  std::vector<double> err(parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    err[i] = (parts[i].acc - reference[i].acc).norm() / reference[i].acc.norm();
+  }
+  std::sort(err.begin(), err.end());
+  state.counters["int_per_target"] =
+      static_cast<double>(stats.ep_interactions + stats.sp_interactions) /
+      static_cast<double>(parts.size());
+  state.counters["p50_err"] = err[err.size() / 2];
+  state.counters["p99_err"] = err[err.size() * 99 / 100];
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GravityGroups)
+    ->Args({8000, 64})
+    ->Args({8000, 128})
+    ->Args({8000, 256})
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
-// SPH neighbour search: plain Morton groups vs h-aware gas groups
+// SPH neighbour search: cell groups vs h-aware gas groups
 // ---------------------------------------------------------------------------
 
 /// Heterogeneous gas: half the particles in eight dense clumps (H ~ 0.5),
@@ -246,10 +181,10 @@ std::vector<Particle> clumpyGas(int n, std::uint64_t seed) {
   return parts;
 }
 
-/// One density + hydro evaluation over plain Morton runs of 64 (range(1) ==
-/// 0, the grouping the SPH passes used before h-aware groups) or over the
-/// h-aware gas groups (range(1) == 1). Outputs are bitwise identical; the
-/// counters show how many prefilter candidates each kept neighbour costs.
+/// One density + hydro evaluation over the gravity rule's cell groups of 64
+/// (range(1) == 0) or over the h-aware gas groups (range(1) == 1). Outputs
+/// are bitwise identical; the counters show how many prefilter candidates
+/// each kept neighbour costs.
 void BM_SphNeighbourSearch(benchmark::State& state) {
   const auto initial = clumpyGas(static_cast<int>(state.range(0)), 5);
   const bool h_aware = state.range(1) != 0;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 
 #include "sph/kernels.hpp"
+#include "util/omp.hpp"
 
 namespace asura::core {
 
@@ -111,50 +113,58 @@ std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
 
   ml::InferenceModeScope inference;
   const sph::Kernel kernel{};
-  const int m = static_cast<int>(live.size());
+  // Forwards run over chunks of at most the calling thread's OpenMP width:
+  // a wider batch buys no parallelism the GEMM does not already have, but
+  // holds activations for every region in it. A pool worker pinned to one
+  // thread therefore runs one region per forward.
+  const std::size_t chunk = static_cast<std::size_t>(std::max(1, util::ompMaxThreads()));
+  for (std::size_t c0 = 0; c0 < live.size(); c0 += chunk) {
+    const std::span<const std::size_t> ids(live.data() + c0, std::min(chunk, live.size() - c0));
+    const int m = static_cast<int>(ids.size());
 
-  // Stage 1: voxelize + encode each region (independent -> parallel). Only
-  // a grid's origin outlives this stage (the decode needs it), and each
-  // encoding only until it is stacked: the batch's peak memory then holds
-  // one copy of the inputs beside the network's activations.
-  std::vector<Vec3d> origins(live.size());
-  std::vector<ml::Tensor> enc(live.size());
+    // Stage 1: voxelize + encode each region (independent -> parallel).
+    // Only a grid's origin outlives this stage (the decode needs it), and
+    // each encoding only until it is stacked: the forward's peak memory
+    // then holds one copy of the inputs beside the network's activations.
+    std::vector<Vec3d> origins(ids.size());
+    std::vector<ml::Tensor> enc(ids.size());
 #pragma omp parallel for schedule(static)
-  for (int j = 0; j < m; ++j) {
-    const auto& rq = requests[live[static_cast<std::size_t>(j)]];
-    const voxel::VoxelGrid grid =
-        voxel::depositParticles(rq.region, rq.sn_pos, box_size_, vparams_, kernel);
-    origins[static_cast<std::size_t>(j)] = grid.origin;
-    enc[static_cast<std::size_t>(j)] = voxel::encodeGrid(grid, vparams_);
-  }
+    for (int j = 0; j < m; ++j) {
+      const auto& rq = requests[ids[static_cast<std::size_t>(j)]];
+      const voxel::VoxelGrid grid =
+          voxel::depositParticles(rq.region, rq.sn_pos, box_size_, vparams_, kernel);
+      origins[static_cast<std::size_t>(j)] = grid.origin;
+      enc[static_cast<std::size_t>(j)] = voxel::encodeGrid(grid, vparams_);
+    }
 
-  // Stage 2: stack along the batch dimension, ONE network forward.
-  const std::vector<int> s0 = enc[0].shape();  // (C, D, H, W)
-  ml::Tensor x({m, s0[0], s0[1], s0[2], s0[3]});
-  const std::size_t per = enc[0].numel();
-  for (int j = 0; j < m; ++j) {
-    std::copy(enc[static_cast<std::size_t>(j)].data(),
-              enc[static_cast<std::size_t>(j)].data() + per,
-              x.data() + static_cast<std::size_t>(j) * per);
-    enc[static_cast<std::size_t>(j)] = ml::Tensor();
-  }
-  auto y = net_.forward(x);
-  for (std::size_t i = 0; i < y.numel(); ++i) y[i] += x[i];  // residual
+    // Stage 2: stack along the batch dimension, one network forward.
+    const std::vector<int> s0 = enc[0].shape();  // (C, D, H, W)
+    ml::Tensor x({m, s0[0], s0[1], s0[2], s0[3]});
+    const std::size_t per = enc[0].numel();
+    for (int j = 0; j < m; ++j) {
+      std::copy(enc[static_cast<std::size_t>(j)].data(),
+                enc[static_cast<std::size_t>(j)].data() + per,
+                x.data() + static_cast<std::size_t>(j) * per);
+      enc[static_cast<std::size_t>(j)] = ml::Tensor();
+    }
+    auto y = net_.forward(x);
+    for (std::size_t i = 0; i < y.numel(); ++i) y[i] += x[i];  // residual
 
-  // Stage 3: de-voxelize per region with each job's private rng stream —
-  // the same (seed, jobStream) derivation as predict(), so the sampled
-  // particles don't depend on who shared the batch.
+    // Stage 3: de-voxelize per region with each job's private rng stream —
+    // the same (seed, jobStream) derivation as predict(), so the sampled
+    // particles don't depend on who shared the batch.
 #pragma omp parallel for schedule(static)
-  for (int j = 0; j < m; ++j) {
-    const std::size_t i = live[static_cast<std::size_t>(j)];
-    const auto& rq = requests[i];
-    ml::Tensor slice({s0[0], s0[1], s0[2], s0[3]});
-    std::copy(y.data() + static_cast<std::size_t>(j) * per,
-              y.data() + static_cast<std::size_t>(j + 1) * per, slice.data());
-    util::Pcg32 job_rng(seed_, jobStream(rq.region, rq.sn_pos));
-    const auto out_grid =
-        voxel::decodeGrid(slice, box_size_, origins[static_cast<std::size_t>(j)], vparams_);
-    out[i] = voxel::gridToParticles(out_grid, rq.region, vparams_, job_rng);
+    for (int j = 0; j < m; ++j) {
+      const std::size_t i = ids[static_cast<std::size_t>(j)];
+      const auto& rq = requests[i];
+      ml::Tensor slice({s0[0], s0[1], s0[2], s0[3]});
+      std::copy(y.data() + static_cast<std::size_t>(j) * per,
+                y.data() + static_cast<std::size_t>(j + 1) * per, slice.data());
+      util::Pcg32 job_rng(seed_, jobStream(rq.region, rq.sn_pos));
+      const auto out_grid = voxel::decodeGrid(slice, box_size_,
+                                              origins[static_cast<std::size_t>(j)], vparams_);
+      out[i] = voxel::gridToParticles(out_grid, rq.region, vparams_, job_rng);
+    }
   }
   return out;
 }

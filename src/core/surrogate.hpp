@@ -103,9 +103,11 @@ class UNetSurrogateBackend final : public SurrogateBackend {
                                               double horizon) override;
 
   /// Stacks the non-empty regions' voxel encodings along the tensor batch
-  /// dimension and runs ONE network forward, then de-voxelizes per region
-  /// with each job's private rng stream. Bitwise identical to per-region
-  /// predict() at any batch size (see ml/gemm.hpp for why).
+  /// dimension, one network forward per chunk of at most the calling
+  /// thread's OpenMP width (which bounds the activation memory), then
+  /// de-voxelizes per region with each job's private rng stream. Bitwise
+  /// identical to per-region predict() at any batch size and width (see
+  /// ml/gemm.hpp for why).
   [[nodiscard]] std::vector<std::vector<Particle>> predictBatch(
       std::vector<SurrogateRequest> requests) override;
 

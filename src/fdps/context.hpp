@@ -209,9 +209,9 @@ class StepContext {
   /// rebuilt lazily on next request; since the tree's order no longer
   /// matches the positions, that rebuild sorts the targets itself. The
   /// sub-step loop walks the per-call active groups below, whose bboxes
-  /// are always current. A
-  /// gravity tree holding LET imports cannot be position-refreshed (the
-  /// import set has no local backing array) and is invalidated instead.
+  /// are always current. A gravity tree holding LET imports cannot be
+  /// position-refreshed (the import set has no local backing array) and is
+  /// invalidated instead.
   void refreshGravityPositions(std::span<const Particle> particles);
   void refreshGasPositions(std::span<const Particle> work);
 
@@ -219,9 +219,9 @@ class StepContext {
   /// particle array), Morton-sorted by their current positions (the cached
   /// trees' order goes stale under the in-place refreshes), built into
   /// member storage to keep the allocation churn bounded; the reference is
-  /// valid until the next call on the same slot. Gravity and gas actives use separate slots so one
-  /// sub-step can hold both; the gas slot groups h-homogeneously like
-  /// gasGroups(). The gas slot caches by subset *content*: the
+  /// valid until the next call on the same slot. Gravity and gas actives
+  /// use separate slots so one sub-step can hold both; the gas slot groups
+  /// h-homogeneously like gasGroups(). The gas slot caches by subset *content*: the
   /// density and hydro-force passes of one sub-step call with the same
   /// active set and no intervening drift, so the second call is a hit.
   /// invalidate() and the position refreshes clear it (positions moved, so

@@ -761,11 +761,51 @@ bool orderCurrent(const SourceTree& tree) {
   return tree.keys().size() == tree.entries().size();
 }
 
-/// Gravity group boundaries: fixed runs of group_size along the curve.
+/// Cell group boundaries within the sorted keys [first, first + count),
+/// which make up one octree cell at depth `level`: a cell of at most `gs`
+/// targets is one group; a larger cell splits into its octants, where runs
+/// of consecutive small children (in octant order) merge while their sum
+/// stays at or below `gs`, and each larger child recurses. Keys equal in
+/// every bit (a cell below the finest level) are cut into runs of `gs`.
+void cellStarts(std::span<const std::uint64_t> keys, std::size_t first, std::size_t count,
+                int level, std::size_t gs, std::vector<std::size_t>& starts) {
+  if (count <= gs) {
+    starts.push_back(first);
+    return;
+  }
+  if (level > kMortonMaxLevel) {
+    for (std::size_t off = first; off < first + count; off += gs) starts.push_back(off);
+    return;
+  }
+  const auto end = keys.begin() + static_cast<std::ptrdiff_t>(first + count);
+  auto it = keys.begin() + static_cast<std::ptrdiff_t>(first);
+  std::size_t run = 0;  // targets in the open run of small siblings
+  for (unsigned oct = 0; oct < 8; ++oct) {
+    const auto child_end = std::partition_point(
+        it, end, [&](std::uint64_t k) { return octantAtLevel(k, level) <= oct; });
+    const auto cf = static_cast<std::size_t>(it - keys.begin());
+    const auto cc = static_cast<std::size_t>(child_end - it);
+    it = child_end;
+    if (cc == 0) continue;
+    if (cc > gs) {
+      run = 0;
+      cellStarts(keys, cf, cc, level + 1, gs, starts);
+    } else if (run == 0 || run + cc > gs) {
+      starts.push_back(cf);
+      run = cc;
+    } else {
+      run += cc;
+    }
+  }
+}
+
+/// Gravity group boundaries: the FDPS-style cell groups of cellStarts over
+/// the whole sorted set, so no group spans a jump of the Morton curve.
 std::vector<std::size_t> gravityStarts(const SortedTargets& t, int group_size) {
-  const auto gs = static_cast<std::size_t>(std::max(group_size, 1));
   std::vector<std::size_t> starts;
-  for (std::size_t off = 0; off < t.members.size(); off += gs) starts.push_back(off);
+  if (t.keys.empty()) return starts;
+  cellStarts(t.keys, 0, t.keys.size(), 0, static_cast<std::size_t>(std::max(group_size, 1)),
+             starts);
   return starts;
 }
 
@@ -816,16 +856,6 @@ std::vector<TargetGroup> groupsFromStarts(std::span<const Particle> particles,
   return groups;
 }
 
-std::vector<TargetGroup> gravityGroupsOf(std::span<const Particle> particles,
-                                         const SortedTargets& t, int group_size) {
-  return groupsFromStarts(particles, t, gravityStarts(t, group_size));
-}
-
-std::vector<TargetGroup> gasGroupsOf(std::span<const Particle> particles,
-                                     const SortedTargets& t, int group_size) {
-  return groupsFromStarts(particles, t, gasStarts(particles, t, group_size));
-}
-
 /// Bounding box of the particles named by `subset`. Recomputed every
 /// sub-step (the active set changes each closing, and mid-step limiter wakes
 /// change it again); a simd min/max reduction keeps this O(active) sweep off
@@ -860,22 +890,23 @@ std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
   std::iota(sel.begin(), sel.end(), 0u);
   Box all;
   for (const Particle& p : particles) all.extend(p.pos);
-  return gravityGroupsOf(particles, sortTargets(particles, sel, all), group_size);
+  const SortedTargets t = sortTargets(particles, sel, all);
+  return groupsFromStarts(particles, t, gravityStarts(t, group_size));
 }
 
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
                                           std::span<const std::uint32_t> subset,
                                           int group_size) {
-  return gravityGroupsOf(particles,
-                         sortTargets(particles, subset, subsetBox(particles, subset)),
-                         group_size);
+  const SortedTargets t = sortTargets(particles, subset, subsetBox(particles, subset));
+  return groupsFromStarts(particles, t, gravityStarts(t, group_size));
 }
 
 std::vector<TargetGroup> makeTargetGroups(const SourceTree& tree,
                                           std::span<const Particle> particles,
                                           int group_size) {
   if (!orderCurrent(tree)) return makeTargetGroups(particles, group_size);
-  return gravityGroupsOf(particles, treeTargets(tree, particles.size()), group_size);
+  const SortedTargets t = treeTargets(tree, particles.size());
+  return groupsFromStarts(particles, t, gravityStarts(t, group_size));
 }
 
 std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
@@ -887,21 +918,23 @@ std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles
     sel.push_back(i);
     all.extend(particles[i].pos);
   }
-  return gasGroupsOf(particles, sortTargets(particles, sel, all), group_size);
+  const SortedTargets t = sortTargets(particles, sel, all);
+  return groupsFromStarts(particles, t, gasStarts(particles, t, group_size));
 }
 
 std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
                                              std::span<const std::uint32_t> subset,
                                              int group_size) {
-  return gasGroupsOf(particles, sortTargets(particles, subset, subsetBox(particles, subset)),
-                     group_size);
+  const SortedTargets t = sortTargets(particles, subset, subsetBox(particles, subset));
+  return groupsFromStarts(particles, t, gasStarts(particles, t, group_size));
 }
 
 std::vector<TargetGroup> makeGasTargetGroups(const SourceTree& tree,
                                              std::span<const Particle> particles,
                                              int group_size) {
   if (!orderCurrent(tree)) return makeGasTargetGroups(particles, group_size);
-  return gasGroupsOf(particles, treeTargets(tree, particles.size()), group_size);
+  const SortedTargets t = treeTargets(tree, particles.size());
+  return groupsFromStarts(particles, t, gasStarts(particles, t, group_size));
 }
 
 std::vector<SourceEntry> makeSourceEntries(std::span<const Particle> particles,

@@ -197,8 +197,11 @@ struct TargetGroup {
 };
 
 /// Gravity target groups over `particles`, Morton-sorted by their current
-/// positions: every group is a contiguous run of the sorted order holding at
-/// most `group_size` targets.
+/// positions and cut into octree cells as FDPS forms its i-groups: a cell
+/// of at most `group_size` targets is one group; a larger cell splits into
+/// its octants, where consecutive small children (in octant order) merge
+/// while their sum stays at or below `group_size`, and each larger child
+/// splits in turn. Each group's box is the tight box of its members.
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
                                           int group_size);
 

@@ -37,7 +37,12 @@ using util::Vec3d;
 struct GravityParams {
   double G = units::G;
   double theta = 0.5;    ///< multipole acceptance s/d
-  int group_size = 64;   ///< n_g: targets sharing an interaction list
+  /// n_g: the most targets one octree-cell group (one shared interaction
+  /// list) may hold. Swept on the MW-mini SN workload (docs/kernels.md,
+  /// "Grouping rule"): 64 and 128 tie on step time, and 128 keeps the
+  /// median force error within 1.15x of the fixed Morton runs of 64 that
+  /// the cells replaced.
+  int group_size = 128;
   int leaf_size = 16;
   enum class Kernel { ScalarF64, MixedF32 } kernel = Kernel::MixedF32;
   /// Generated-kernel backend for the MixedF32 path (Auto = widest the host

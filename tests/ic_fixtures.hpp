@@ -1,9 +1,9 @@
 #pragma once
 /// \file ic_fixtures.hpp
-/// \brief Shared initial-condition generators for the block-timestep test
-/// and benchmark: a uniform gas ball and the dense SN-blastwave clump. Kept
-/// in one place so the benchmarked scenario can never silently diverge from
-/// the tested one.
+/// \brief Shared initial-condition generators for the tests and benchmarks:
+/// a uniform gas ball, the dense SN-blastwave clump, the SN storm and a
+/// clumpy collisionless disc. Kept in one place so the benchmarked scenario
+/// can never silently diverge from the tested one.
 
 #include <algorithm>
 #include <cmath>
@@ -129,6 +129,42 @@ inline std::vector<fdps::Particle> snStormIc(int n, std::uint64_t seed,
     star.t_sn = 1e-9 + static_cast<double>(i) * 5e-3;
     star.eps = 0.5;
     parts.push_back(star);
+  }
+  return parts;
+}
+
+/// Clumpy collisionless disc for the gravity grouping checks: 40% of the
+/// particles in a Plummer halo (scale 15, cut at 60), 40% in an exponential
+/// disc (scale length 3, scale height 0.25) and 20% in eight tight clumps
+/// (sigma 0.2) on a ring of radius 6. Its mix of scales is where a fixed
+/// run of the Morton curve can jump between halo, disc and clump.
+inline std::vector<fdps::Particle> clumpyDisc(int n, std::uint64_t seed) {
+  util::Pcg32 rng(seed);
+  std::vector<fdps::Particle> parts(static_cast<std::size_t>(n));
+  const int n_halo = 2 * n / 5, n_disc = 2 * n / 5;
+  for (int i = 0; i < n; ++i) {
+    fdps::Particle& p = parts[static_cast<std::size_t>(i)];
+    p.id = static_cast<std::uint64_t>(i) + 1;
+    p.mass = 1000.0 / n;
+    p.eps = 0.05;
+    if (i < n_halo) {
+      p.type = fdps::Species::DarkMatter;
+      const double u = rng.uniform(1e-6, 1.0 - 1e-6);
+      const double r = 15.0 / std::sqrt(std::pow(u, -2.0 / 3.0) - 1.0);
+      p.pos = std::min(r, 60.0) * rng.isotropic();
+      continue;
+    }
+    p.type = fdps::Species::Star;
+    if (i < n_halo + n_disc) {
+      // Exponential surface density: R/R_d is Gamma(2)-distributed.
+      const double r = -3.0 * std::log(rng.uniform(1e-9, 1.0) * rng.uniform(1e-9, 1.0));
+      const double phi = rng.uniform(0.0, 2.0 * 3.14159265358979);
+      p.pos = {r * std::cos(phi), r * std::sin(phi), 0.25 * rng.normal()};
+    } else {
+      const double phi = 2.0 * 3.14159265358979 * static_cast<double>(i % 8) / 8.0;
+      const util::Vec3d centre{6.0 * std::cos(phi), 6.0 * std::sin(phi), 0.0};
+      p.pos = centre + 0.2 * util::Vec3d{rng.normal(), rng.normal(), rng.normal()};
+    }
   }
   return parts;
 }

@@ -7,15 +7,18 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "comm/comm.hpp"
 #include "comm/torus.hpp"
 #include "fdps/box.hpp"
+#include "fdps/context.hpp"
 #include "fdps/domain.hpp"
 #include "fdps/let.hpp"
 #include "fdps/morton.hpp"
 #include "fdps/tree.hpp"
+#include "ic_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -285,6 +288,153 @@ TEST(Tree, GasOnlyGroups) {
     }
   }
   EXPECT_EQ(in_groups, n_gas);
+}
+
+/// Bitwise equality of two group lists: same members in the same order and
+/// the same boxes.
+void expectSameGroups(const std::vector<asura::fdps::TargetGroup>& a,
+                      const std::vector<asura::fdps::TargetGroup>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    EXPECT_EQ(a[g].indices, b[g].indices) << "group " << g;
+    EXPECT_EQ(a[g].bbox.lo, b[g].bbox.lo) << "group " << g;
+    EXPECT_EQ(a[g].bbox.hi, b[g].bbox.hi) << "group " << g;
+  }
+}
+
+// Gravity groups are FDPS cells: each group is a run of whole children of
+// one octree cell P that had to be split (more than group_size targets),
+// merged siblings stop only where the next one would not fit, and the
+// group's tight box lies inside P.
+TEST(Tree, CellGroupsAreRunsOfWholeChildrenOfSplitCells) {
+  using asura::fdps::mortonCellSpan;
+  using asura::fdps::octantAtLevel;
+  const auto parts = asura::testing::clumpyDisc(5000, 31);
+  Box all;
+  for (const auto& p : parts) all.extend(p.pos);
+  const Box cube = all.boundingCube();
+  std::vector<std::uint64_t> key(parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    key[i] = asura::fdps::mortonKey(parts[i].pos, cube);
+  }
+  std::vector<std::uint64_t> sorted = key;
+  std::sort(sorted.begin(), sorted.end());
+  // Targets in the cell at `depth` holding key k.
+  const auto cellCount = [&](std::uint64_t k, int depth) {
+    const std::uint64_t lo = depth == 0 ? 0 : k & ~(mortonCellSpan(depth) - 1);
+    const std::uint64_t hi = depth == 0 ? ~0ULL : lo + mortonCellSpan(depth);
+    return static_cast<std::size_t>(std::lower_bound(sorted.begin(), sorted.end(), hi) -
+                                    std::lower_bound(sorted.begin(), sorted.end(), lo));
+  };
+
+  for (const int gs : {16, 64, 128}) {
+    const auto groups = asura::fdps::makeTargetGroups(parts, gs);
+    std::set<std::uint32_t> seen;
+    int prev_parent = -1;
+    std::uint64_t prev_parent_key = 0;
+    std::size_t prev_size = 0;
+    for (const auto& g : groups) {
+      ASSERT_FALSE(g.indices.empty());
+      EXPECT_LE(g.indices.size(), static_cast<std::size_t>(gs));
+      Box tight;
+      std::uint64_t kmin = ~0ULL, kmax = 0;
+      for (const auto i : g.indices) {
+        EXPECT_TRUE(seen.insert(i).second) << "duplicate index";
+        tight.extend(parts[i].pos);
+        kmin = std::min(kmin, key[i]);
+        kmax = std::max(kmax, key[i]);
+      }
+      EXPECT_EQ(g.bbox.lo, tight.lo);
+      EXPECT_EQ(g.bbox.hi, tight.hi);
+      // The parent P: the deepest cell holding every member and more
+      // targets than the group (the group itself may be a whole cell).
+      int parent = 0;
+      while (parent < asura::fdps::kMortonMaxLevel &&
+             octantAtLevel(kmin, parent) == octantAtLevel(kmax, parent)) {
+        ++parent;
+      }
+      while (parent > 0 && cellCount(kmin, parent) == g.indices.size()) --parent;
+      if (cellCount(kmin, parent) == g.indices.size()) {
+        EXPECT_EQ(groups.size(), 1u);  // the whole set fits one group
+        continue;
+      }
+      EXPECT_GT(cellCount(kmin, parent), static_cast<std::size_t>(gs)) << "P was not split";
+      // Every child of P the group touches lies wholly inside the group.
+      std::size_t in_children = 0;
+      for (std::uint64_t k = kmin & ~(mortonCellSpan(parent + 1) - 1); k <= kmax;
+           k += mortonCellSpan(parent + 1)) {
+        in_children += cellCount(k, parent + 1);
+      }
+      EXPECT_EQ(in_children, g.indices.size()) << "a child of P is cut";
+      // Siblings merge greedily: a group following a sibling run of the
+      // same P starts there only because its first child did not fit.
+      const std::uint64_t parent_key = kmin & ~(mortonCellSpan(parent) - 1);
+      if (parent == prev_parent && parent_key == prev_parent_key) {
+        EXPECT_GT(prev_size + cellCount(kmin, parent + 1), static_cast<std::size_t>(gs));
+      }
+      prev_parent = parent;
+      prev_parent_key = parent_key;
+      prev_size = g.indices.size();
+      // Geometry: the tight box lies inside P's cell.
+      const auto c = asura::fdps::mortonCellCoords({parent_key, parent});
+      const double unit = cube.extent().x / static_cast<double>(1ULL << 21);
+      const Vec3d lo = cube.lo + unit * Vec3d{static_cast<double>(c.ix),
+                                              static_cast<double>(c.iy),
+                                              static_cast<double>(c.iz)};
+      const double side = unit * static_cast<double>(c.side);
+      const double tol = 1e-9 * cube.extent().x;
+      EXPECT_GE(g.bbox.lo.x, lo.x - tol);
+      EXPECT_GE(g.bbox.lo.y, lo.y - tol);
+      EXPECT_GE(g.bbox.lo.z, lo.z - tol);
+      EXPECT_LE(g.bbox.hi.x, lo.x + side + tol);
+      EXPECT_LE(g.bbox.hi.y, lo.y + side + tol);
+      EXPECT_LE(g.bbox.hi.z, lo.z + side + tol);
+    }
+    EXPECT_EQ(seen.size(), parts.size()) << "gs=" << gs;
+  }
+}
+
+// One cut, three routes: groups cut from a tree's sorted entries equal the
+// groups of an all-active subset sorted on its own, for gravity and gas,
+// directly and through StepContext; once the tree's order goes stale under
+// refreshPositions, the tree route sorts the moved targets itself.
+TEST(Tree, TreeCutGroupsEqualAllActiveSubsetGroups) {
+  auto parts = asura::testing::clumpyDisc(4000, 32);
+  for (std::size_t i = 0; i < parts.size(); i += 3) {
+    parts[i].type = Species::Gas;
+    parts[i].h = 0.3 + 0.01 * static_cast<double>(i % 50);
+  }
+  std::vector<std::uint32_t> all(parts.size()), gas;
+  std::iota(all.begin(), all.end(), 0u);
+  for (const auto i : all) {
+    if (parts[i].isGas()) gas.push_back(i);
+  }
+
+  SourceTree tree;
+  tree.build(asura::fdps::makeSourceEntries(parts));
+  SourceTree gas_tree;
+  gas_tree.build(asura::fdps::makeSourceEntries(parts, /*gas_only=*/true));
+  asura::fdps::StepContext ctx;
+  for (const int gs : {32, 128}) {
+    const auto subset = asura::fdps::makeTargetGroups(parts, all, gs);
+    expectSameGroups(asura::fdps::makeTargetGroups(tree, parts, gs), subset);
+    expectSameGroups(asura::fdps::makeTargetGroups(parts, gs), subset);
+    expectSameGroups(ctx.gravityGroups(parts, {}, 16, gs), ctx.activeGravityGroups(parts, all, gs));
+    expectSameGroups(ctx.gravityGroups(parts, {}, 16, gs), subset);
+
+    const auto gas_subset = asura::fdps::makeGasTargetGroups(parts, gas, gs);
+    expectSameGroups(asura::fdps::makeGasTargetGroups(gas_tree, parts, gs), gas_subset);
+    expectSameGroups(ctx.gasGroups(parts, parts.size(), 16, gs), gas_subset);
+  }
+  EXPECT_EQ(ctx.totalBuilds(), 2u);  // one gravity and one gas tree for all cuts
+
+  // Drift every particle and refresh the tree in place: its entry order is
+  // now stale, so the tree route must fall back to sorting the targets.
+  for (auto& p : parts) p.pos += Vec3d{0.5 * std::sin(p.pos.y), 0.3 * std::cos(p.pos.x), 0.0};
+  tree.refreshPositions(parts);
+  EXPECT_TRUE(tree.keys().empty());
+  expectSameGroups(asura::fdps::makeTargetGroups(tree, parts, 64),
+                   asura::fdps::makeTargetGroups(parts, all, 64));
 }
 
 // ---------------------------------------------------------------------------

@@ -320,8 +320,8 @@ TEST(NeighbourSearch, ResultsAreGroupingInvariant) {
     sp.n_ngb = 40;
     sp.isa = isa;
 
-    // Density + hydro with caller-chosen groups: `plain` Morton runs of
-    // group_size (the gravity grouping) or the h-aware gas groups.
+    // Density + hydro with caller-chosen groups: `plain` octree-cell groups
+    // of group_size (the gravity grouping) or the h-aware gas groups.
     const auto runGroups = [&](int group_size, bool plain) {
       auto parts = initial;
       asura::fdps::StepContext ctx;

@@ -68,6 +68,32 @@ TEST(RadixSort, MatchesComparatorSortWithTieBreak) {
   EXPECT_EQ(order, ref);
 }
 
+// Both sides of the serial/parallel switch and the histogram edges: one
+// key, a 4096-key grain and its neighbours, and sets that still have every
+// digit varying next to sets whose high digits are mostly constant.
+TEST(RadixSort, SerialPathMatchesComparatorAtEverySize) {
+  const std::size_t t = asura::fdps::kRadixSerialBelow;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{4095},
+                              std::size_t{4096}, std::size_t{4097}, t - 1, t, t + 1,
+                              std::size_t{20000}}) {
+    Pcg32 rng(n);
+    std::vector<std::uint64_t> keys(n);
+    for (auto& k : keys) {
+      k = rng.nextU64() >> 1;
+      const double u = rng.uniform();
+      if (u < 0.3) k &= 0xffULL;       // heavy duplication in the low digit
+      else if (u < 0.4) k = 42;         // one key shared by a tenth of the set
+    }
+    std::vector<std::uint32_t> ref(n);
+    std::iota(ref.begin(), ref.end(), 0u);
+    std::stable_sort(ref.begin(), ref.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
+    std::vector<std::uint32_t> order;
+    asura::fdps::radixSortByKey(keys, order);
+    EXPECT_EQ(order, ref) << "n=" << n;
+  }
+}
+
 TEST(RadixSort, AllEqualKeysAreIdentity) {
   std::vector<std::uint64_t> keys(777, 0x123456789abcULL);
   std::vector<std::uint32_t> order;
