@@ -54,9 +54,11 @@ std::vector<Particle> randomParticles(int n, std::uint64_t seed, double box = 10
 // Tree build
 // ---------------------------------------------------------------------------
 
+// Rows on both sides of kRadixSerialBelow (2^15): the serial 11-bit sort
+// below it, the OpenMP 13-bit passes from it on.
 void BM_TreeBuildRadix(benchmark::State& state) {
-  const auto parts = randomParticles(static_cast<int>(state.range(0)), 42);
-  const auto entries = asura::fdps::makeSourceEntries(parts);
+  const auto entries =
+      asura::fdps::makeSourceEntries(randomParticles(static_cast<int>(state.range(0)), 42));
   SourceTree tree;
   for (auto _ : state) {
     auto copy = entries;
@@ -65,7 +67,14 @@ void BM_TreeBuildRadix(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_TreeBuildRadix)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TreeBuildRadix)
+    ->Arg(10000)
+    ->Arg(1 << 14)
+    ->Arg(1 << 16)
+    ->Arg(100000)
+    ->Arg(1 << 18)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Target grouping

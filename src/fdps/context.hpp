@@ -9,8 +9,9 @@
 /// the end of the step. StepContext owns the trees, the Morton-sorted
 /// target groups and the per-thread scratch arenas, so each force pass
 /// builds each tree at most once and the second pass reuses the first
-/// pass's trees outright when nothing moved. Full-set target groups are cut
-/// from their tree's Morton order, so each rebuild costs one sort.
+/// pass's trees outright when nothing moved. On a single rank, full-set
+/// target groups are cut from their tree's Morton order, so each rebuild
+/// costs one sort.
 ///
 /// # Pipeline invariants (the contract every caller relies on)
 ///
@@ -185,14 +186,17 @@ class StepContext {
   /// Gravity target groups over all `particles`, cut from the sorted
   /// entries of gravityTree(particles, let_entries, leaf_size) (built here
   /// if needed), so a rebuild costs one sort for the tree and its groups.
-  /// Valid until the tree rebuilds or positions change.
+  /// With LET imports in the tree the targets are sorted on their own (see
+  /// makeTargetGroups), so the groups always equal activeGravityGroups()
+  /// over every particle. Valid until the tree rebuilds or positions change.
   const std::vector<TargetGroup>& gravityGroups(std::span<const Particle> particles,
                                                 std::span<const SourceEntry> let_entries,
                                                 int leaf_size, int group_size);
 
   /// h-homogeneous gas target groups over the local prefix, cut from the
-  /// sorted entries of gasTree(work, leaf_size) (built here if needed; the
-  /// ghost entries past n_local are skipped).
+  /// sorted entries of gasTree(work, leaf_size) (built here if needed) when
+  /// the work array holds no ghosts; with ghosts the local gas is sorted on
+  /// its own.
   const std::vector<TargetGroup>& gasGroups(std::span<const Particle> work,
                                             std::size_t n_local, int leaf_size,
                                             int group_size);

@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "fdps/morton.hpp"
@@ -738,27 +739,24 @@ SortedTargets sortTargets(std::span<const Particle> particles,
   return out;
 }
 
-/// The targets among `tree`'s entries, in entry order: the entries that
-/// index into a particle array of `n_targets` (LET multipoles and ghosts
-/// past the locals are skipped). The tree's keys must be current.
-SortedTargets treeTargets(const SourceTree& tree, std::size_t n_targets) {
-  SortedTargets out;
+/// `tree`'s sorted entries as targets into a particle array of `n_targets`,
+/// or nothing when the tree cannot lend its order: when refreshPositions()
+/// left its keys stale, or when it holds entries that are not targets (LET
+/// multipoles, ghosts past the locals). Those widen the root cube the keys
+/// were taken in, so the targets' order and cells would differ from a sort
+/// in their own box, which the active subsets use.
+std::optional<SortedTargets> treeTargets(const SourceTree& tree, std::size_t n_targets) {
   const auto& entries = tree.entries();
   const auto& keys = tree.keys();
-  out.keys.reserve(entries.size());
+  if (keys.size() != entries.size()) return std::nullopt;
+  SortedTargets out;
   out.members.reserve(entries.size());
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    const SourceEntry& e = entries[k];
-    if (e.isMultipole() || e.idx >= n_targets) continue;
-    out.keys.push_back(keys[k]);
+  for (const SourceEntry& e : entries) {
+    if (e.isMultipole() || e.idx >= n_targets) return std::nullopt;
     out.members.push_back(e.idx);
   }
+  out.keys.assign(keys.begin(), keys.end());
   return out;
-}
-
-/// Whether `tree` still holds the Morton order of its entries' positions.
-bool orderCurrent(const SourceTree& tree) {
-  return tree.keys().size() == tree.entries().size();
 }
 
 /// Cell group boundaries within the sorted keys [first, first + count),
@@ -904,9 +902,9 @@ std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
 std::vector<TargetGroup> makeTargetGroups(const SourceTree& tree,
                                           std::span<const Particle> particles,
                                           int group_size) {
-  if (!orderCurrent(tree)) return makeTargetGroups(particles, group_size);
-  const SortedTargets t = treeTargets(tree, particles.size());
-  return groupsFromStarts(particles, t, gravityStarts(t, group_size));
+  const auto t = treeTargets(tree, particles.size());
+  if (!t) return makeTargetGroups(particles, group_size);
+  return groupsFromStarts(particles, *t, gravityStarts(*t, group_size));
 }
 
 std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles,
@@ -932,9 +930,9 @@ std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles
 std::vector<TargetGroup> makeGasTargetGroups(const SourceTree& tree,
                                              std::span<const Particle> particles,
                                              int group_size) {
-  if (!orderCurrent(tree)) return makeGasTargetGroups(particles, group_size);
-  const SortedTargets t = treeTargets(tree, particles.size());
-  return groupsFromStarts(particles, t, gasStarts(particles, t, group_size));
+  const auto t = treeTargets(tree, particles.size());
+  if (!t) return makeGasTargetGroups(particles, group_size);
+  return groupsFromStarts(particles, *t, gasStarts(particles, *t, group_size));
 }
 
 std::vector<SourceEntry> makeSourceEntries(std::span<const Particle> particles,

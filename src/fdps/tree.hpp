@@ -216,11 +216,11 @@ std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
                                           int group_size);
 
 /// Full-set variant cut from `tree`'s sorted entries instead of a sort of
-/// its own: the targets are the tree entries that index into `particles`
-/// (LET imports and ghosts past its end are skipped). A tree built over
-/// exactly `particles` yields the groups makeTargetGroups(particles,
-/// group_size) would; a tree whose order went stale under refreshPositions()
-/// falls back to that sort.
+/// its own, when the tree was built over exactly `particles`; it yields the
+/// groups makeTargetGroups(particles, group_size) would. A tree that also
+/// holds LET imports, or whose order went stale under refreshPositions(),
+/// falls back to that sort: imports widen the root cube, which would change
+/// the targets' order and cells.
 std::vector<TargetGroup> makeTargetGroups(const SourceTree& tree,
                                           std::span<const Particle> particles,
                                           int group_size);
@@ -247,9 +247,9 @@ std::vector<TargetGroup> makeGasTargetGroups(std::span<const Particle> particles
                                              std::span<const std::uint32_t> subset,
                                              int group_size);
 
-/// Full-set variant cut from the gas `tree`'s sorted entries (see the
-/// tree overload of makeTargetGroups); the targets are the gas entries that
-/// index into `particles`.
+/// Full-set variant cut from the gas `tree`'s sorted entries when the tree
+/// holds exactly the gas in `particles` (see the tree overload of
+/// makeTargetGroups); a tree that also holds ghosts sorts the gas itself.
 std::vector<TargetGroup> makeGasTargetGroups(const SourceTree& tree,
                                              std::span<const Particle> particles,
                                              int group_size);
@@ -260,9 +260,13 @@ std::vector<SourceEntry> makeSourceEntries(std::span<const Particle> particles,
 
 /// Key counts below which the radix sort runs serially on 11-bit digits
 /// (six passes, every histogram built in one sweep); from here on it runs
-/// the OpenMP-parallel 13-bit passes. Below this size the parallel passes
-/// spend more on their 8192-bucket scans and team start-ups than on keys.
-inline constexpr std::size_t kRadixSerialBelow = std::size_t{1} << 17;
+/// the OpenMP-parallel 13-bit passes. Measured as the crossover of
+/// SourceTree::build with either path forced (4-core Xeon, AVX-512, GCC
+/// 12.2, 3 and 4 threads, table in docs/kernels.md): the serial build takes
+/// about 40% less at 2^13 keys and 13-20% less at 2^14, the two tie at
+/// 2^15, and the parallel build takes 14-27% less at 2^16 and about half
+/// from 2^18 on.
+inline constexpr std::size_t kRadixSerialBelow = std::size_t{1} << 15;
 
 /// Stable LSD radix sort: fill `order` with a permutation such that
 /// keys[order[i]] is non-decreasing and ties keep ascending original index —

@@ -437,6 +437,55 @@ TEST(Tree, TreeCutGroupsEqualAllActiveSubsetGroups) {
                    asura::fdps::makeTargetGroups(parts, all, 64));
 }
 
+// The same at P>1: a gravity tree that also holds LET imports, and a gas
+// tree over locals + ghosts, have root cubes wider than the local targets'.
+// Their full-set groups must still equal the all-active subset groups, so a
+// rank whose particles all sit on rung 0 groups (and so sums forces) alike
+// on the global and the hierarchical routes.
+TEST(Tree, TreeCutGroupsWithLetAndGhostsEqualAllActiveSubsetGroups) {
+  auto work = asura::testing::clumpyDisc(3000, 33);
+  const std::size_t n_local = work.size();
+  for (std::size_t i = 0; i < n_local; i += 3) {
+    work[i].type = Species::Gas;
+    work[i].h = 0.3 + 0.01 * static_cast<double>(i % 50);
+  }
+  Box local_box;
+  for (const auto& p : work) local_box.extend(p.pos);
+  const Vec3d far = local_box.hi + 1.5 * local_box.extent();
+  // LET imports arrive multipole-tagged; ghosts are gas appended past the
+  // locals. Both sit outside the local box and widen their tree's cube.
+  std::vector<SourceEntry> let(40);
+  for (std::size_t k = 0; k < let.size(); ++k) {
+    let[k].pos = far + Vec3d{0.1 * static_cast<double>(k), 0.0, -0.2 * static_cast<double>(k)};
+    let[k].mass = 1.0;
+    let[k].eps = 0.01;
+    let[k].idx = SourceEntry::kMultipole;
+  }
+  for (std::size_t k = 0; k < 60; ++k) {
+    Particle g = work[3 * k];
+    g.pos = far - Vec3d{0.0, 0.05 * static_cast<double>(k), 0.0};
+    work.push_back(g);
+  }
+  const std::span<const Particle> locals(work.data(), n_local);
+  std::vector<std::uint32_t> all(n_local), gas;
+  std::iota(all.begin(), all.end(), 0u);
+  for (const auto i : all) {
+    if (work[i].isGas()) gas.push_back(i);
+  }
+
+  asura::fdps::StepContext ctx;
+  for (const int gs : {32, 128}) {
+    const auto subset = asura::fdps::makeTargetGroups(locals, all, gs);
+    expectSameGroups(ctx.gravityGroups(locals, let, 16, gs), subset);
+    expectSameGroups(ctx.activeGravityGroups(locals, all, gs), subset);
+    expectSameGroups(ctx.gasGroups(work, n_local, 16, gs),
+                     asura::fdps::makeGasTargetGroups(work, gas, gs));
+  }
+  EXPECT_EQ(ctx.gravityTree(locals, let, 16).entries().size(), n_local + let.size());
+  EXPECT_EQ(ctx.gasTree(work, 16).entries().size(), gas.size() + 60);
+  EXPECT_EQ(ctx.totalBuilds(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Domain decomposition
 // ---------------------------------------------------------------------------
